@@ -125,7 +125,9 @@ def _parse_value(column: str, raw: str):
         return int(raw)
     if column in _FLOAT_COLUMNS:
         return float(raw)
-    if column in ("trained", "drift") and raw in ("true", "false"):
+    if column in ("trained", "drift"):
+        if raw not in ("true", "false"):
+            raise ValueError(f"bad {column} flag {raw!r}: expected true, false or empty")
         return raw == "true"
     return raw
 

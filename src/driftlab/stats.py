@@ -63,8 +63,8 @@ class CorrelationResult:
 
 
 def _result(name: str, statistic: float, p_value: float, alpha: float) -> TestResult:
-    p = min(1.0, max(0.0, p_value))
-    return TestResult(statistic=float(statistic), p_value=p, reject=p < alpha,
+    p = float(min(1.0, max(0.0, p_value)))
+    return TestResult(statistic=float(statistic), p_value=p, reject=bool(p < alpha),
                       alpha=alpha, test_name=name)
 
 

@@ -197,6 +197,35 @@ class TestCountDrifts:
         union = groups[("SB", "mean_variance", 1)]
         assert union >= max(groups[("SB", "mean", 1)], groups[("SB", "variance", 1)])
 
+    def test_levene_flags_round_trip_as_bools(self, tmp_path, monkeypatch):
+        # non-normal windows send the variance detector through Levene, whose
+        # p-value comes from f_sf; its reject flag must reach the table as a
+        # Python bool so that write -> load -> count_drifts keeps its meaning
+        from driftlab import drift
+        monkeypatch.setattr(drift, "_is_normal", lambda vector, alpha: False)
+        rows = synth_rows(years=8, flights=60, weeks=52)
+        grid = tiny_grid(years=(2001, 2007), detectors=("variance", "mean_variance"))
+        out = tmp_path / "res.csv"
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        text = out.read_text()
+        assert "False" not in text and "True" not in text
+        results = load_results(out)
+        flags = [r["drift"] for r in results]
+        assert all(f is None or type(f) is bool for f in flags)
+        assert all(type(r["trained"]) is bool for r in results)
+        groups = count_drifts(results).groups()
+        for detector in ("variance", "mean_variance"):
+            expected = sum(1 for r in results
+                           if r["detector"] == detector and r["drift"] is True)
+            assert groups[("SB", detector, 1)] == expected
+
+    def test_unknown_flag_value_rejected(self, tmp_path):
+        out = tmp_path / "res.csv"
+        export_results([fake_row()], out)
+        out.write_text(out.read_text().replace(",true,false,", ",true,False,"))
+        with pytest.raises(ValueError, match="drift"):
+            load_results(out)
+
     def test_two_injected_shifts_counted(self, tmp_path):
         events = [synth.DriftEvent(at_year=3, kind="prior_shift", magnitude=0.25),
                   synth.DriftEvent(at_year=6, kind="prior_shift", magnitude=-0.2)]

@@ -295,3 +295,12 @@ class TestNullCalibration:
             b = rng.normal(size=50)
             rejections += test_fn(a, b).reject
         assert 0.03 <= rejections / 1000 <= 0.07
+
+
+def test_results_carry_python_scalars():
+    # f_sf hands back numpy scalars; the TestResult must not leak them
+    a = np.array([0.1, 0.4, 0.2, 0.9, 0.3, 0.5])
+    b = np.array([0.2, 0.2, 0.3, 0.25, 0.3, 0.2])
+    for result in (levene(a, b), f_variance(a, b), welch_t(a, b)):
+        assert type(result.p_value) is float
+        assert type(result.reject) is bool
