@@ -10,6 +10,7 @@ covered at MC-noise-consistent tolerances in test_stats.py.
 import time
 from contextlib import contextmanager
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,7 +320,10 @@ def test_criterion_8_mlp_gradient_check():
 def test_criterion_9_grid_integrity(tmp_path):
     """A full sweep's row count equals the analytic cross-product with the
     NB replicate collapse; resume after interruption produces zero
-    duplicates and never changes previously written rows."""
+    duplicates and never changes previously written rows. The table's
+    bytes match the golden copy (recorded with numpy 2.4.6; see
+    test_golden.py), before and after the resume."""
+    golden = (Path(__file__).parent / "golden" / "criterion_9_results.csv").read_bytes()
     with criterion(9, "grid integrity and resume"):
         spec = synth.SyntheticSpec(years=6, weeks_per_year=26, flights_per_week=40,
                                    base_delay_rate=0.22, seed=90)
@@ -332,6 +336,7 @@ def test_criterion_9_grid_integrity(tmp_path):
                          "epochs": 6, "batch_size": 64}}
         out = tmp_path / "results.csv"
         results = drift_analysis(rows, grid, out, hyperparameters=hyper, base_seed=5)
+        assert out.read_bytes() == golden
 
         cells = grid_cells(grid)
         # analytic: NB collapses to 1 replicate -> 165 cells; each cell
@@ -345,11 +350,12 @@ def test_criterion_9_grid_integrity(tmp_path):
         assert len(keys) == len(set(keys))
 
         # interruption: drop a partial tail, rerun, compare
-        lines = out.read_text().splitlines(keepends=True)
-        out.write_text("".join(lines[:-9]))
+        lines = out.read_bytes().splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-9]))
         resumed = drift_analysis(rows, grid, out, hyperparameters=hyper, base_seed=5)
         assert len(resumed) == expected_rows
         assert len({row_key(r) for r in resumed}) == expected_rows
         by_key = {row_key(r): r for r in results}
         for row in resumed:
             assert row == by_key[row_key(row)]
+        assert out.read_bytes() == golden

@@ -1,0 +1,55 @@
+"""Golden results: a fixed config and seed must write the same bytes.
+
+The expected tables under ``tests/golden/`` were recorded with numpy 2.4.6
+(Python 3.11). The sweep's floats come from numpy arithmetic, so another
+numpy version may change their last digits; re-record the files there by
+copying what ``drift_analysis`` writes for each config. The criterion 9
+table is checked inside ``test_acceptance.test_criterion_9_grid_integrity``.
+"""
+
+import hashlib
+from pathlib import Path
+
+from driftlab import synth
+from driftlab.runner import ExperimentGrid, drift_analysis
+
+GOLDEN = Path(__file__).parent / "golden"
+
+B3_HP = {"RF": {"trees_count": 3, "predictors_per_split": 2},
+         "MLP": {"hidden_neurons": 4, "learning_rate": 0.5, "epochs": 6, "batch_size": 64}}
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file's relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def b3_sweep(out: Path, store: Path) -> None:
+    """b=3 RF/MLP, every strategy and detector, 2 replicates, one prior shift:
+    the detectors retrain in different years (variance skips 2006)."""
+    spec = synth.SyntheticSpec(years=7, weeks_per_year=26, flights_per_week=30,
+                               base_delay_rate=0.2, seed=21,
+                               drift_events=(synth.DriftEvent(at_year=5, kind="prior_shift",
+                                                              magnitude=0.15),))
+    rows, _ = synth.generate_stream(spec)
+    grid = ExperimentGrid(airports=(None,), classifiers=("RF", "MLP"), years=(2003, 2006),
+                          bss=(3,), replicates=2)
+    drift_analysis(rows, grid, out, hyperparameters=B3_HP, base_seed=3,
+                   model_store_dir=store)
+
+
+def test_b3_rf_mlp_results_bytes(tmp_path):
+    out = tmp_path / "results.csv"
+    b3_sweep(out, tmp_path / "models")
+    assert out.read_bytes() == (GOLDEN / "b3_rf_mlp_results.csv").read_bytes()
+    assert tree_digest(tmp_path / "models") == (
+        (GOLDEN / "b3_rf_mlp_models.sha256").read_text().strip())
+
+    # a resume after losing the tail rewrites it byte for byte
+    lines = out.read_bytes().splitlines(keepends=True)
+    out.write_bytes(b"".join(lines[:-13]))
+    b3_sweep(out, tmp_path / "models")
+    assert out.read_bytes() == (GOLDEN / "b3_rf_mlp_results.csv").read_bytes()
