@@ -35,7 +35,7 @@ DEFAULT_MIN_WEEK_FLIGHTS = 5
 
 
 class InsufficientWeeklySupportError(ValueError):
-    """No week in the window reaches the minimum flight count."""
+    """Too few weeks in the window reach the minimum flight count."""
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,16 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
            alpha: float = 0.05) -> DriftDecision:
     """Compare two weekly-proportion vectors and decide drift.
 
-    Raises DegenerateSampleError (and friends) when the vectors cannot
-    support the tests; callers treat an errored detection as drift.
+    Raises InsufficientWeeklySupportError or DegenerateSampleError when the
+    vectors cannot support the tests; callers treat those as drift.
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
     cur = current.proportions
     prev = previous.proportions
     if cur.size < 4 or prev.size < 4:
-        raise ValueError("drift detection requires at least 4 weekly proportions per window")
+        raise InsufficientWeeklySupportError(
+            "drift detection requires at least 4 weekly proportions per window")
 
     normal_a = _is_normal(cur, alpha)
     normal_b = _is_normal(prev, alpha)
@@ -132,25 +133,19 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
                          mean_test=mean_test, variance_test=variance_test, drift=drift)
 
 
-def act_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None,
-              alpha: float = 0.05,
-              min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS) -> bool:
-    """Decide whether to (re)train at this step.
-
-    baseline trains only at the first evaluable step (the one without a
-    lagged window), passive always trains, active trains when the detector
-    flags drift between the current and lagged windows; a detection that
-    errors out counts as drift (fail-safe retrain).
-    """
-    train, _ = decide_drift(dd, dh, d_i, d_j, alpha=alpha, min_week_flights=min_week_flights)
-    return train
-
-
 def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None,
                  alpha: float = 0.05,
                  min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                  ) -> tuple[bool, DriftDecision | None]:
-    """act_drift plus the DriftDecision when one was computed."""
+    """Decide whether to (re)train at this step, with the DriftDecision when
+    one was computed.
+
+    baseline trains only at the first evaluable step (the one without a
+    lagged window), passive always trains, active trains when the detector
+    flags drift between the current and lagged windows. A detection that
+    fails for lack of weekly support or of sample variation counts as drift
+    (fail-safe retrain); any other error propagates.
+    """
     if dh not in STRATEGIES:
         raise ValueError(f"unknown strategy {dh!r}")
     if dh == STRATEGY_PASSIVE:
@@ -164,7 +159,7 @@ def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None
                           weekly_delay_proportions(d_i, min_week_flights),
                           weekly_delay_proportions(d_j, min_week_flights),
                           alpha=alpha)
-    except (DegenerateSampleError, InsufficientWeeklySupportError, ValueError) as exc:
+    except (DegenerateSampleError, InsufficientWeeklySupportError) as exc:
         log.warning("active detection failed (%s); treating as drift", exc)
         return True, None
     return decision.drift, decision

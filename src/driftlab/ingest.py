@@ -109,14 +109,13 @@ def _parse_timestamp(raw: str) -> datetime:
     return datetime.fromisoformat(raw.strip())
 
 
-def load_flights(path: str | Path, schema: PreprocessConfig | None = None) -> LoadResult:
+def load_flights(path: str | Path) -> LoadResult:
     """Parse the raw CSV; every well-formed line yields one record, malformed
     lines are counted with a reason instead of being silently dropped.
 
     Fatal errors: missing file, or a header column that is neither one of
     the fixed names nor ``wx_``-prefixed.
     """
-    del schema  # validation needs no config fields; kept for interface parity
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"flight CSV not found: {path}")

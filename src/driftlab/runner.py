@@ -142,10 +142,13 @@ def load_results(path: str | Path) -> list[dict]:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
+        header = next(reader, None)
+        if header is None or tuple(header) != RESULT_COLUMNS:
             raise ValueError(f"unexpected results header in {path}")
         for fields_ in reader:
+            if len(fields_) != len(RESULT_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: {len(fields_)} fields, "
+                                 f"expected {len(RESULT_COLUMNS)}")
             rows.append({col: _parse_value(col, raw)
                          for col, raw in zip(RESULT_COLUMNS, fields_)})
     return rows
@@ -219,17 +222,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     for every later retrain.
     """
     out_path = Path(out_path)
-    existing_keys: set[tuple] = set()
-    if out_path.exists():
-        existing_keys = {row_key(r) for r in load_results(out_path)}
-        log.info("resume: %d rows already in %s", len(existing_keys), out_path)
-        fh = open(out_path, "a", newline="", encoding="utf-8")
-        writer = csv.writer(fh)
-    else:
-        fh = open(out_path, "w", newline="", encoding="utf-8")
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        fh.flush()
+    hyperparameters = dict(hyperparameters or {})
+    manifest_path = Path(str(out_path) + ".manifest.json")
     manifest = {
         "version": RESULTS_VERSION,
         "grid": {"airports": [a or SB_KEY for a in grid.airports],
@@ -238,12 +232,25 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                  "detectors": list(grid.detectors), "strategies": list(grid.strategies),
                  "replicates": grid.replicates},
         "base_seed": base_seed, "alpha": alpha, "min_week_flights": min_week_flights,
+        "cv_folds": cv_folds, "hyperparameters": hyperparameters,
         "columns": list(RESULT_COLUMNS),
     }
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8")
+    manifest_text = json.dumps(manifest, indent=2)
+    existing_keys: set[tuple] = set()
+    if out_path.exists():
+        _check_resume_manifest(manifest_path, json.loads(manifest_text))
+        _drop_torn_tail(out_path)
+        existing_keys = {row_key(r) for r in load_results(out_path)}
+        log.info("resume: %d rows already in %s", len(existing_keys), out_path)
+        fh = open(out_path, "a", newline="", encoding="utf-8")
+        writer = csv.writer(fh)
+    else:
+        manifest_path.write_text(manifest_text, encoding="utf-8")
+        fh = open(out_path, "w", newline="", encoding="utf-8")
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        fh.flush()
 
-    hyperparameters = dict(hyperparameters or {})
     store = ModelStore(model_store_dir) if model_store_dir else None
     first_year, last_year = grid.years
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
@@ -292,6 +299,28 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     finally:
         fh.close()
     return load_results(out_path)
+
+
+def _check_resume_manifest(path: Path, manifest: dict) -> None:
+    """Refuse to append to a table written under another config."""
+    if not path.exists():
+        raise ValueError(f"cannot resume: {path} is missing, so the table's config is unknown")
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    differ = [key for key in manifest if stored.get(key) != manifest[key]]
+    if differ:
+        raise ValueError(f"cannot resume: the config differs from {path} in {', '.join(differ)}")
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line (a crash mid-write) before appending."""
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    keep = data.rfind(b"\n") + 1
+    log.warning("resume: dropping the unterminated last line of %s (%d bytes)",
+                path, len(data) - keep)
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
 
 
 def _cell_hyperparameters(cell: Cell, stream, hyperparameters, specs_cache,

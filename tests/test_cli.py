@@ -121,3 +121,15 @@ class TestRunAndAnalyze:
         cfg.write_text(json.dumps({"rows": "x.npz"}))
         assert main(["run", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_run_refuses_resume_under_another_config(self, tmp_path, synth_spec_file, capsys):
+        results_path = run_pipeline(tmp_path, synth_spec_file)
+        content = results_path.read_bytes()
+        cfg_path = tmp_path / "cfg.json"
+        config = json.loads(cfg_path.read_text())
+        config["base_seed"] = 12
+        cfg_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "cannot resume" in capsys.readouterr().err
+        assert results_path.read_bytes() == content

@@ -4,7 +4,7 @@ import pytest
 from conftest import make_row, varied_weekly_rows, weekly_rows
 from driftlab import drift
 from driftlab.drift import (DETECTORS, InsufficientWeeklySupportError, WeeklyProportions,
-                            WeekEntry, act_drift, decide_drift, detect,
+                            WeekEntry, decide_drift, detect,
                             weekly_delay_proportions)
 from driftlab.stats import DegenerateSampleError
 from driftlab.windowing import batch_sequence, partition_by_year
@@ -97,7 +97,7 @@ class TestDetect:
     def test_short_vectors_rejected(self):
         short = proportions([0.2, 0.3, 0.25])
         ok = proportions(noisy(0.2, seed=4))
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientWeeklySupportError):
             detect("mean", short, ok)
 
     def test_constant_vector_propagates_degenerate_error(self):
@@ -138,27 +138,27 @@ class TestActDrift:
         stream = self._windows()
         d_i = batch_sequence(stream, 2004, 1)
         d_j = batch_sequence(stream, 2003, 1)
-        assert act_drift("mean", "passive", d_i, d_j) is True
-        assert act_drift("mean", "passive", d_i, None) is True
+        assert decide_drift("mean", "passive", d_i, d_j)[0] is True
+        assert decide_drift("mean", "passive", d_i, None)[0] is True
 
     def test_baseline_trains_only_without_lagged_window(self):
         stream = self._windows()
         d_i = batch_sequence(stream, 2004, 1)
         d_j = batch_sequence(stream, 2003, 1)
-        assert act_drift("mean", "baseline", d_i, None) is True
-        assert act_drift("mean", "baseline", d_i, d_j) is False
+        assert decide_drift("mean", "baseline", d_i, None)[0] is True
+        assert decide_drift("mean", "baseline", d_i, d_j)[0] is False
 
     def test_active_identical_distributions_no_retrain(self):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004)
         stream = partition_by_year(rows, (2003, 2004))
         d_i = batch_sequence(stream, 2004, 1)
         d_j = batch_sequence(stream, 2003, 1)
-        assert act_drift("mean", "active", d_i, d_j) is False
-        assert act_drift("mean_variance", "active", d_i, d_j) is False
+        assert decide_drift("mean", "active", d_i, d_j)[0] is False
+        assert decide_drift("mean_variance", "active", d_i, d_j)[0] is False
 
     def test_active_first_step_forced(self):
         stream = self._windows()
-        assert act_drift("mean", "active", batch_sequence(stream, 2003, 1), None) is True
+        assert decide_drift("mean", "active", batch_sequence(stream, 2003, 1), None)[0] is True
 
     def test_active_errored_detection_defaults_to_drift(self, caplog):
         # constant proportions make the tests degenerate -> fail-safe retrain
@@ -169,6 +169,27 @@ class TestActDrift:
             train, decision = decide_drift("mean", "active", d_i, d_j)
         assert train is True and decision is None
         assert "treating as drift" in caplog.text
+
+    def test_short_windows_default_to_drift(self):
+        # three usable weeks a year: too few proportions -> fail-safe retrain
+        rows = []
+        for year in (2003, 2004):
+            rows += weekly_rows(year, weeks=3, per_week=100, delayed_per_week=20)
+        stream = partition_by_year(rows, (2003, 2004))
+        d_i = batch_sequence(stream, 2004, 1)
+        d_j = batch_sequence(stream, 2003, 1)
+        assert decide_drift("mean", "active", d_i, d_j) == (True, None)
+
+    def test_other_detection_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug inside detection")
+        monkeypatch.setattr(drift.stats, "welch_t", broken)
+        monkeypatch.setattr(drift.stats, "wilcoxon_rank_sum", broken)
+        rows = varied_weekly_rows(2003) + varied_weekly_rows(2004)
+        stream = partition_by_year(rows, (2003, 2004))
+        with pytest.raises(ValueError, match="bug inside detection"):
+            decide_drift("mean", "active", batch_sequence(stream, 2004, 1),
+                         batch_sequence(stream, 2003, 1))
 
     def test_detection_is_label_only(self):
         # same labels, different features -> identical decision

@@ -117,6 +117,112 @@ class TestDriftAnalysis:
         assert manifest["version"] == runner.RESULTS_VERSION
         assert manifest["grid"]["airports"] == ["SB"]
         assert manifest["columns"][0] == "airport"
+        assert manifest["hyperparameters"] == FAST_HP
+        assert manifest["cv_folds"] == 10
+
+    def test_resume_drops_torn_last_line(self, tmp_path, caplog):
+        rows = synth_rows(years=5)
+        grid = tiny_grid(years=(2001, 2004), strategies=("baseline", "passive", "active"))
+        out = tmp_path / "res.csv"
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        full = out.read_bytes()
+        lines = full.splitlines(keepends=True)
+        out.write_bytes(b"".join(lines[:-3]) + lines[-3][:len(lines[-3]) // 2])
+        with caplog.at_level("WARNING"):
+            drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert "unterminated last line" in caplog.text
+        assert out.read_bytes() == full
+
+    def test_load_rejects_wrong_field_count(self, tmp_path):
+        out = tmp_path / "res.csv"
+        export_results([fake_row(), fake_row(t=2004)], out)
+        lines = out.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 3)[0] + "\r\n"
+        out.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 3: 15 fields, expected 18"):
+            load_results(out)
+
+    def test_resume_refused_without_manifest(self, tmp_path):
+        rows = synth_rows(years=4)
+        out = tmp_path / "res.csv"
+        grid = tiny_grid(years=(2001, 2003))
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        content = out.read_bytes()
+        (tmp_path / "res.csv.manifest.json").unlink()
+        with pytest.raises(ValueError, match="missing"):
+            drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert out.read_bytes() == content
+
+    @pytest.mark.parametrize("change", [
+        {"base_seed": 2}, {"alpha": 0.01}, {"min_week_flights": 3}, {"cv_folds": 5},
+        {"hyperparameters": {**FAST_HP, "NB": {"smoothing": 1.0}}},
+        {"grid": tiny_grid(years=(2001, 2003), replicates=2)},
+    ])
+    def test_resume_refused_on_config_change(self, tmp_path, change):
+        rows = synth_rows(years=4)
+        out = tmp_path / "res.csv"
+        config = dict(grid=tiny_grid(years=(2001, 2003)), hyperparameters=FAST_HP)
+        drift_analysis(rows, out_path=out, **config)
+        content = out.read_bytes()
+        manifest = (tmp_path / "res.csv.manifest.json").read_bytes()
+        config.update(change)
+        with pytest.raises(ValueError, match=f"differs .* in {next(iter(change))}"):
+            drift_analysis(rows, out_path=out, **config)
+        assert out.read_bytes() == content
+        assert (tmp_path / "res.csv.manifest.json").read_bytes() == manifest
+
+    def test_train_failure_ends_only_the_cells_that_train(self, tmp_path, monkeypatch):
+        # the shift makes mean and mean_variance retrain in 2003, not variance
+        events = [synth.DriftEvent(at_year=3, kind="prior_shift", magnitude=0.15)]
+        rows = synth_rows(years=6, events=events)
+        grid = tiny_grid(years=(2002, 2005), strategies=("baseline", "passive", "active"),
+                         detectors=("mean", "variance", "mean_variance"))
+        clean = drift_analysis(rows, grid, tmp_path / "clean.csv", hyperparameters=FAST_HP)
+        from driftlab import learn
+        real_train = learn.train
+
+        def train(spec, rows, training_window=None):
+            if training_window[0] == 2003:
+                raise RuntimeError("no fit for 2003")
+            return real_train(spec, rows, training_window=training_window)
+        monkeypatch.setattr(learn, "train", train)
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
+
+        def by_cell(table):
+            cells = {}
+            for r in table:
+                cells.setdefault((r["strategy"], r["detector"]), []).append(r)
+            return cells
+        before, after = by_cell(clean), by_cell(results)
+        assert list(after) == list(before)
+        trains_2003 = {cell for cell, cell_rows in before.items()
+                       if any(r["t"] == 2003 and r["trained"] for r in cell_rows)}
+        assert ("passive", "na") in trains_2003 and ("baseline", "na") not in trains_2003
+        assert any(cell[0] == "active" for cell in trains_2003)
+        assert any(cell[0] == "active" and cell not in trains_2003 for cell in before)
+        for cell, cell_rows in after.items():
+            if cell in trains_2003:
+                assert len(cell_rows) == 1
+                assert cell_rows[0]["t"] == -1
+                assert cell_rows[0]["error"] == "RuntimeError: no fit for 2003"
+            else:
+                assert cell_rows == before[cell]
+
+    def test_detection_bug_is_an_error_not_a_retrain(self, tmp_path, monkeypatch):
+        from driftlab import drift, stats
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug inside detection")
+        monkeypatch.setattr(drift, "_is_normal", lambda vector, alpha: True)
+        monkeypatch.setattr(stats, "welch_t", broken)
+        rows = synth_rows(years=5)
+        grid = tiny_grid(years=(2001, 2004), strategies=("passive", "active"))
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
+        active = [r for r in results if r["strategy"] == "active"]
+        assert len(active) == 1
+        assert active[0]["error"] == "ValueError: bug inside detection"
+        assert [r["t"] for r in results if r["strategy"] == "passive"] == [
+            2001, 2002, 2003, 2004]
 
     def test_airport_scale_filters_rows(self, tmp_path):
         rows = synth_rows(years=4)
