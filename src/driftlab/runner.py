@@ -21,7 +21,7 @@ from . import learn, stats
 from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
-from .strategy import ModelStore, run_stream
+from .strategy import ModelStore, StreamRun, run_stream
 from .windowing import partition_by_year
 
 log = logging.getLogger(__name__)
@@ -255,47 +255,45 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     first_year, last_year = grid.years
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
 
-    written: list[dict] = []
     streams: dict[str | None, list] = {}
     specs: dict[tuple[str | None, str], dict] = {}
     try:
-        for cell in grid_cells(grid):
-            if cell.airport not in streams:
-                scoped = [r for r in rows if cell.airport is None
-                          or r.origin_airport == cell.airport]
-                streams[cell.airport] = partition_by_year(scoped, batch_span)
-            stream = streams[cell.airport]
-            stream_years = [b.year for b in stream]
-            expected = expected_step_years(stream_years, cell.b, grid.years)
-            keys = [(cell.airport_key, cell.classifier, cell.b, cell.detector_key,
-                     cell.strategy, cell.replicate, t) for t in expected]
-            if keys and all(k in existing_keys for k in keys):
-                continue
-            try:
-                hp = _cell_hyperparameters(cell, stream, hyperparameters, specs,
-                                           cv_folds, base_seed)
-                spec = ModelSpec(kind=cell.classifier, hyperparameters=hp,
-                                 seed=base_seed + cell.replicate)
-                run = run_stream(stream, cell.b, cell.detector or DETECTORS[0],
-                                 cell.strategy, spec, year_range=grid.years,
-                                 alpha=alpha, min_week_flights=min_week_flights,
-                                 replicate=cell.replicate, store=store,
-                                 store_airport=cell.airport)
-                new_rows = [_step_to_row(cell, step) for step in run.steps]
-            except Exception as exc:  # a failing cell must not abort the sweep
-                log.exception("cell %s failed", cell)
-                new_rows = [_error_row(cell, f"{type(exc).__name__}: {exc}")]
-            appended = 0
-            for row in new_rows:
+        for (airport, kind, b), group in itertools.groupby(
+                grid_cells(grid), key=lambda c: (c.airport, c.classifier, c.b)):
+            if airport not in streams:
+                scoped = [r for r in rows if airport is None or r.origin_airport == airport]
+                streams[airport] = partition_by_year(scoped, batch_span)
+            stream = streams[airport]
+            expected = expected_step_years([batch.year for batch in stream], b, grid.years)
+            pending = [cell for cell in group if not expected or any(
+                (cell.airport_key, kind, b, cell.detector_key, cell.strategy, cell.replicate, t)
+                not in existing_keys for t in expected)]
+            new_rows: dict[Cell, list[dict]] = {}
+            for rep in sorted({cell.replicate for cell in pending}):
+                cells = [cell for cell in pending if cell.replicate == rep]
+                try:
+                    hp = _cell_hyperparameters(cells[0], stream, hyperparameters, specs,
+                                               cv_folds, base_seed)
+                    spec = ModelSpec(kind=kind, hyperparameters=hp, seed=base_seed + rep)
+                    runs = run_stream(stream, b, [(cell.strategy, cell.detector or DETECTORS[0])
+                                                  for cell in cells], spec,
+                                      year_range=grid.years, alpha=alpha,
+                                      min_week_flights=min_week_flights, replicate=rep,
+                                      store=store, store_airport=airport)
+                except Exception as exc:  # a failing stream must not abort the sweep
+                    log.exception("cells %s failed", cells)
+                    runs = [StreamRun(error=exc) for _ in cells]
+                for cell, run in zip(cells, runs):
+                    new_rows[cell] = ([_error_row(cell, f"{type(run.error).__name__}: {run.error}")]
+                                      if run.error is not None
+                                      else [_step_to_row(cell, step) for step in run.steps])
+            for row in (row for cell in pending for row in new_rows[cell]):
                 key = row_key(row)
                 if key in existing_keys:
                     continue
                 writer.writerow([_format_value(col, row.get(col)) for col in RESULT_COLUMNS])
                 existing_keys.add(key)
-                written.append(row)
-                appended += 1
-            if appended:
-                fh.flush()
+            fh.flush()
     finally:
         fh.close()
     return load_results(out_path)

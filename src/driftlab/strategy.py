@@ -1,6 +1,7 @@
-"""Per-step execution of a drift handling strategy over a batch stream:
-decide retraining, fit or reuse the stored model, predict the next batch,
-and record confusion counts and metrics.
+"""One pass over a batch stream runs every drift handling strategy of it:
+each cell decides retraining, the window's model is fit once for the cells
+that train, each distinct model predicts the next batch once, and each cell
+records its confusion counts and metrics.
 
 Training-count bookkeeping is exact by construction: the first evaluable
 step always trains (there is no stored model to reuse, so no detection is
@@ -23,14 +24,6 @@ from .windowing import Batch, WindowUnderflowError, batch_sequence
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class StrategyState:
-    key: tuple
-    current_model: TrainedModel | None = None
-    trainings_done: int = 0
-    drift_log: list[DriftDecision | None] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class StepResult:
     t: int
@@ -43,77 +36,48 @@ class StepResult:
 
 @dataclass
 class StreamRun:
-    steps: list[StepResult]
-    state: StrategyState
+    """One cell's run; error is the exception that ended it early, if any."""
+    steps: list[StepResult] = field(default_factory=list)
     skipped_years: list[int] = field(default_factory=list)
+    trainings_done: int = 0
+    current_model: TrainedModel | None = None
+    error: Exception | None = None
 
 
-def methodology_step(state: StrategyState, stream: list[Batch], t: int, b: int,
-                     dd: str, dh: str, spec: ModelSpec,
-                     alpha: float = 0.05,
-                     min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
-                     replicate: int = 0,
-                     store: "ModelStore | None" = None,
-                     store_airport: str | None = None) -> StepResult | None:
-    """One time step: window ending at t trains/loads a model that predicts
-    the batch at t+1. Returns None (with a log line) when the step cannot be
-    evaluated: empty test batch, or a training required on an all-empty
-    window."""
-    d_i = batch_sequence(stream, t, b)
-    try:
-        d_j = batch_sequence(stream, t - 1, b)
-    except WindowUnderflowError:
-        d_j = None
-    test_batch = batch_sequence(stream, t + 1, 1).batches[0]
-    if test_batch.is_empty:
-        log.warning("step t=%d skipped: test batch %d is empty", t, t + 1)
-        return None
-
-    if state.current_model is None:
-        # nothing to reuse: forced training, no detection to run
-        train_flag, decision = True, None
-    else:
-        train_flag, decision = decide_drift(dd, dh, d_i, d_j, alpha=alpha,
-                                            min_week_flights=min_week_flights)
-    state.drift_log.append(decision)
-
-    if train_flag:
-        if d_i.row_count == 0:
-            log.warning("step t=%d skipped: refusing to train on an all-empty window", t)
-            return None
-        model = learn.train(spec, d_i.rows, training_window=(t, b))
-        state.current_model = model
-        state.trainings_done += 1
-        if store is not None:
-            store.save(model, airport=store_airport, kind=spec.kind, dd=dd, dh=dh,
-                       b=b, replicate=replicate, t=t)
-    else:
-        model = state.current_model
-
-    preds = learn.predict(model, test_batch.rows)
-    truth = [row.delayed for row in test_batch.rows]
-    confusion = learn.confusion_from_predictions(truth, preds)
-    metrics = learn.compute_metrics(confusion)
-    return StepResult(t=t, trained=train_flag, drift=decision,
-                      confusion=confusion, metrics=metrics, replicate=replicate)
+def _once(cache: dict, key, compute):
+    """compute() at most once per key; an exception it raised is re-raised."""
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except Exception as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
 
 
-def run_stream(stream: list[Batch], b: int, dd: str, dh: str, spec: ModelSpec,
+def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]:
+    preds = learn.predict(model, batch.rows)
+    confusion = learn.confusion_from_predictions([row.delayed for row in batch.rows], preds)
+    return confusion, learn.compute_metrics(confusion)
+
+
+def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: ModelSpec,
                year_range: tuple[int, int] | None = None,
                alpha: float = 0.05,
                min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                replicate: int = 0,
                store: "ModelStore | None" = None,
-               store_airport: str | None = None) -> StreamRun:
-    """Run one strategy over every evaluable step of the stream.
+               store_airport: str | None = None) -> list[StreamRun]:
+    """Run each (strategy, detector) cell over every evaluable step of the
+    stream; one StreamRun per cell, in order. An error ends only its cell.
 
     A step t is evaluable when the b-window ending at t exists and batch t+1
-    exists; year_range (inclusive, on t) restricts the sweep. Bookkeeping:
-    baseline trains once, passive trains once per step, active trains
-    1 + (steps with drift flagged).
+    exists; year_range (inclusive, on t) restricts the sweep. A cell skips t
+    (with a log line) on an empty test batch or an all-empty training window.
     """
-    if dh not in STRATEGIES:
-        raise ValueError(f"unknown strategy {dh!r}")
+    if any(dh not in STRATEGIES for dh, _ in cells):
+        raise ValueError(f"unknown strategy in {cells!r}")
     years = [batch.year for batch in stream]
     if len(years) < b + 1:
         raise WindowUnderflowError(f"stream of {len(years)} batches has no evaluable step for b={b}")
@@ -121,17 +85,49 @@ def run_stream(stream: list[Batch], b: int, dd: str, dh: str, spec: ModelSpec,
     if year_range is not None:
         lo, hi = year_range
         candidate_ts = [t for t in candidate_ts if lo <= t <= hi]
-    state = StrategyState(key=(store_airport, spec.kind, dd, dh, b))
-    run = StreamRun(steps=[], state=state)
+    runs = [StreamRun() for _ in cells]
     for t in candidate_ts:
-        step = methodology_step(state, stream, t, b, dd, dh, spec, alpha=alpha,
-                                min_week_flights=min_week_flights, replicate=replicate,
-                                store=store, store_airport=store_airport)
-        if step is None:
-            run.skipped_years.append(t)
+        d_i = batch_sequence(stream, t, b)
+        try:
+            d_j = batch_sequence(stream, t - 1, b)
+        except WindowUnderflowError:
+            d_j = None
+        test_batch = batch_sequence(stream, t + 1, 1).batches[0]
+        live = [(cell, run) for cell, run in zip(cells, runs) if run.error is None]
+        if test_batch.is_empty:
+            log.warning("step t=%d skipped: test batch %d is empty", t, t + 1)
+            for _, run in live:
+                run.skipped_years.append(t)
             continue
-        run.steps.append(step)
-    return run
+        shared: dict = {}  # the window's model, and each model's scores by id
+        for (dh, dd), run in live:
+            try:
+                if run.current_model is None:
+                    # nothing to reuse: forced training, no detection to run
+                    train_flag, decision = True, None
+                else:
+                    train_flag, decision = decide_drift(dd, dh, d_i, d_j, alpha=alpha,
+                                                        min_week_flights=min_week_flights)
+                if train_flag and d_i.row_count == 0:
+                    log.warning("step t=%d skipped: refusing to train on an all-empty window", t)
+                    run.skipped_years.append(t)
+                    continue
+                if train_flag:
+                    run.current_model = _once(shared, "model", lambda: learn.train(
+                        spec, d_i.rows, training_window=(t, b)))
+                    run.trainings_done += 1
+                    if store is not None:
+                        store.save(run.current_model, airport=store_airport, kind=spec.kind,
+                                   dd=dd, dh=dh, b=b, replicate=replicate, t=t)
+                model = run.current_model
+                confusion, metrics = _once(shared, id(model), lambda: _score(model, test_batch))
+                run.steps.append(StepResult(t=t, trained=train_flag, drift=decision,
+                                            confusion=confusion, metrics=metrics,
+                                            replicate=replicate))
+            except Exception as exc:  # ends this cell only
+                log.exception("%s/%s failed at t=%d", dh, dd, t)
+                run.error = exc
+    return runs
 
 
 class ModelStore:

@@ -69,14 +69,14 @@ def test_criterion_1_strategy_bookkeeping():
             stream = random_stream(rng)
             b = 1 + i % 2
             dd = detectors[i % 3]
-            baseline = run_stream(stream, b, dd, "baseline", NB)
-            assert baseline.state.trainings_done == 1
-            passive = run_stream(stream, b, dd, "passive", NB)
-            assert passive.state.trainings_done == len(passive.steps)
-            active = run_stream(stream, b, dd, "active", NB)
+            baseline = run_stream(stream, b, [("baseline", dd)], NB)[0]
+            assert baseline.trainings_done == 1
+            passive = run_stream(stream, b, [("passive", dd)], NB)[0]
+            assert passive.trainings_done == len(passive.steps)
+            active = run_stream(stream, b, [("active", dd)], NB)[0]
             drifts = sum(1 for s in active.steps
                          if s.drift is not None and s.drift.drift)
-            assert active.state.trainings_done == 1 + drifts
+            assert active.trainings_done == 1 + drifts
             assert len(baseline.steps) == len(passive.steps) == len(active.steps)
         assert time.monotonic() - start < 60.0
 
@@ -240,7 +240,7 @@ def test_criterion_6_retraining_beats_baseline():
                                   hyperparameters={"hidden_neurons": 8,
                                                    "learning_rate": 0.5,
                                                    "epochs": 30, "batch_size": 64})
-                run = run_stream(stream, 1, "mean_variance", dh, mspec, replicate=rep)
+                run = run_stream(stream, 1, [(dh, "mean_variance")], mspec, replicate=rep)[0]
                 values += [s.metrics.f1 for s in run.steps if s.metrics.f1 is not None]
             return float(np.median(values))
 

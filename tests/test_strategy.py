@@ -3,7 +3,8 @@ import pytest
 
 from conftest import varied_weekly_rows
 from driftlab.learn import ModelSpec
-from driftlab.strategy import ModelStore, StrategyState, methodology_step, run_stream
+from driftlab import learn
+from driftlab.strategy import ModelStore, run_stream
 from driftlab.windowing import partition_by_year
 from driftlab import synth
 
@@ -28,29 +29,29 @@ def alternating_stream(first=2003, last=2008):
 
 class TestBookkeeping:
     def test_baseline_trains_once(self):
-        run = run_stream(stationary_stream(), 1, "mean", "baseline", NB)
-        assert run.state.trainings_done == 1
+        run = run_stream(stationary_stream(), 1, [("baseline", "mean")], NB)[0]
+        assert run.trainings_done == 1
         assert len(run.steps) == 3
         assert [s.trained for s in run.steps] == [True, False, False]
 
     def test_passive_trains_every_step(self):
-        run = run_stream(stationary_stream(), 1, "mean", "passive", NB)
-        assert run.state.trainings_done == 3
+        run = run_stream(stationary_stream(), 1, [("passive", "mean")], NB)[0]
+        assert run.trainings_done == 3
         assert all(s.trained for s in run.steps)
 
     def test_active_without_drift_matches_baseline_count(self):
-        run = run_stream(stationary_stream(), 1, "mean", "active", NB)
+        run = run_stream(stationary_stream(), 1, [("active", "mean")], NB)[0]
         drifts = sum(1 for s in run.steps if s.drift is not None and s.drift.drift)
-        assert run.state.trainings_done == 1 + drifts
-        baseline = run_stream(stationary_stream(), 1, "mean", "baseline", NB)
+        assert run.trainings_done == 1 + drifts
+        baseline = run_stream(stationary_stream(), 1, [("baseline", "mean")], NB)[0]
         if drifts == 0:
-            assert run.state.trainings_done == baseline.state.trainings_done
+            assert run.trainings_done == baseline.trainings_done
 
     def test_active_bookkeeping_identity_on_drifting_stream(self):
-        run = run_stream(alternating_stream(), 1, "mean", "active", NB)
+        run = run_stream(alternating_stream(), 1, [("active", "mean")], NB)[0]
         drifts = sum(1 for s in run.steps if s.drift is not None and s.drift.drift)
         assert drifts >= 1
-        assert run.state.trainings_done == 1 + drifts
+        assert run.trainings_done == 1 + drifts
 
     def test_replicate_arithmetic(self):
         # 4 batches, b=1 -> 3 steps; RF x 5 replicates -> 15 trainings, NB -> 3
@@ -59,71 +60,118 @@ class TestBookkeeping:
         for rep in range(5):
             spec = ModelSpec(kind="RF", seed=100 + rep,
                              hyperparameters={"trees_count": 3, "predictors_per_split": 2})
-            rf_trainings += run_stream(stream, 1, "mean", "passive", spec,
-                                       replicate=rep).state.trainings_done
+            rf_trainings += run_stream(stream, 1, [("passive", "mean")], spec,
+                                       replicate=rep)[0].trainings_done
         assert rf_trainings == 15
-        assert run_stream(stream, 1, "mean", "passive", NB).state.trainings_done == 3
+        assert run_stream(stream, 1, [("passive", "mean")], NB)[0].trainings_done == 3
 
     def test_first_step_drift_is_absent(self):
-        run = run_stream(stationary_stream(), 1, "mean", "active", NB)
+        run = run_stream(stationary_stream(), 1, [("active", "mean")], NB)[0]
         assert run.steps[0].drift is None
         assert run.steps[0].trained
 
 
 class TestWindows:
     def test_b2_first_step_needs_full_window(self):
-        run = run_stream(stationary_stream(2003, 2007), 2, "mean", "passive", NB)
+        run = run_stream(stationary_stream(2003, 2007), 2, [("passive", "mean")], NB)[0]
         assert [s.t for s in run.steps] == [2004, 2005, 2006]
 
     def test_year_range_restricts_steps(self):
-        run = run_stream(stationary_stream(2003, 2008), 1, "mean", "passive", NB,
-                         year_range=(2005, 2006))
+        run = run_stream(stationary_stream(2003, 2008), 1, [("passive", "mean")], NB,
+                         year_range=(2005, 2006))[0]
         assert [s.t for s in run.steps] == [2005, 2006]
 
     def test_too_short_stream(self):
         from driftlab.windowing import WindowUnderflowError
         with pytest.raises(WindowUnderflowError):
-            run_stream(stationary_stream(2003, 2004), 2, "mean", "passive", NB)
+            run_stream(stationary_stream(2003, 2004), 2, [("passive", "mean")], NB)
 
     def test_empty_test_batch_skipped(self):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004) + varied_weekly_rows(2006)
         stream = partition_by_year(rows, (2003, 2006))
-        run = run_stream(stream, 1, "mean", "passive", NB)
+        run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
         # t=2004 skipped (test batch 2005 empty); t=2005 skipped too because
         # passive would have to train on the empty 2005 window
         assert run.skipped_years == [2004, 2005]
         assert [s.t for s in run.steps] == [2003]
         # baseline can still evaluate t=2005: it reuses its stored model
-        baseline = run_stream(stream, 1, "mean", "baseline", NB)
+        baseline = run_stream(stream, 1, [("baseline", "mean")], NB)[0]
         assert [s.t for s in baseline.steps] == [2003, 2005]
         assert baseline.skipped_years == [2004]
 
     def test_empty_training_window_skipped(self):
         rows = varied_weekly_rows(2004) + varied_weekly_rows(2005)
         stream = partition_by_year(rows, (2003, 2005))
-        run = run_stream(stream, 1, "mean", "passive", NB)
+        run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
         # t=2003 cannot train (empty window), t=2004 proceeds
         assert run.skipped_years == [2003]
         assert [s.t for s in run.steps] == [2004]
 
 
 class TestModelReuse:
-    def test_active_without_drift_reuses_same_object(self):
+    def test_active_without_drift_reuses_same_object(self, monkeypatch):
         stream = stationary_stream(2003, 2007)
-        state = StrategyState(key=("SB", "NB", "mean", "active", 1))
-        seen = []
-        for t in (2003, 2004, 2005, 2006):
-            step = methodology_step(state, stream, t, 1, "mean", "active", NB)
-            assert step is not None
-            seen.append((step.trained, state.current_model))
-        for (trained, model), (_, prev_model) in zip(seen[1:], seen[:-1]):
-            if not trained:
+        used = []
+        real_predict = learn.predict
+
+        def predict(model, rows):
+            used.append(model)
+            return real_predict(model, rows)
+        monkeypatch.setattr(learn, "predict", predict)
+        run = run_stream(stream, 1, [("active", "mean")], NB)[0]
+        assert [s.t for s in run.steps] == [2003, 2004, 2005, 2006]
+        assert len(used) == len(run.steps)
+        for step, model, prev_model in zip(run.steps[1:], used[1:], used[:-1]):
+            if not step.trained:
                 assert model is prev_model
+        assert used[-1] is run.current_model
+
+    def test_cells_share_trainings_and_predictions(self, monkeypatch):
+        stream = alternating_stream()
+        cells = [("baseline", "mean"), ("passive", "mean"), ("active", "mean"),
+                 ("active", "variance"), ("active", "mean_variance")]
+        alone = [run_stream(stream, 1, [cell], NB)[0] for cell in cells]
+        trained, predicted = [], []
+        real_train, real_predict = learn.train, learn.predict
+
+        def train(spec, rows, training_window=None):
+            trained.append(training_window)
+            return real_train(spec, rows, training_window=training_window)
+
+        def predict(model, rows):
+            predicted.append((id(model), id(rows)))
+            return real_predict(model, rows)
+        monkeypatch.setattr(learn, "train", train)
+        monkeypatch.setattr(learn, "predict", predict)
+        runs = run_stream(stream, 1, cells, NB)
+        # every model any cell trains is one of passive's, trained once
+        assert trained == [(t, 1) for t in range(2003, 2008)]
+        assert len(predicted) == len(set(predicted))
+        assert len(predicted) < sum(len(run.steps) for run in runs)
+        for run, single in zip(runs, alone):
+            assert run.error is None
+            assert run.trainings_done == single.trainings_done
+            assert run.steps == single.steps
+
+    def test_error_ends_only_the_cells_it_hits(self, monkeypatch):
+        stream = alternating_stream()
+        real_train = learn.train
+
+        def train(spec, rows, training_window=None):
+            if training_window[0] == 2005:
+                raise RuntimeError("no fit for 2005")
+            return real_train(spec, rows, training_window=training_window)
+        monkeypatch.setattr(learn, "train", train)
+        baseline, passive = run_stream(stream, 1, [("baseline", "mean"), ("passive", "mean")], NB)
+        assert baseline.error is None
+        assert [s.t for s in baseline.steps] == [2003, 2004, 2005, 2006, 2007]
+        assert str(passive.error) == "no fit for 2005"
+        assert [s.t for s in passive.steps] == [2003, 2004]
 
     def test_passive_equals_active_when_every_step_drifts(self):
         stream = alternating_stream()
-        passive = run_stream(stream, 1, "mean", "passive", NB)
-        active = run_stream(stream, 1, "mean", "active", NB)
+        passive = run_stream(stream, 1, [("passive", "mean")], NB)[0]
+        active = run_stream(stream, 1, [("active", "mean")], NB)[0]
         assert all(s.drift.drift for s in active.steps[1:])
         for p_step, a_step in zip(passive.steps, active.steps):
             assert p_step.confusion == a_step.confusion
@@ -133,13 +181,13 @@ class TestModelReuse:
 class TestStepResults:
     def test_metrics_recomputable_from_confusion(self):
         from driftlab.learn import compute_metrics
-        run = run_stream(stationary_stream(), 1, "mean", "passive", NB)
+        run = run_stream(stationary_stream(), 1, [("passive", "mean")], NB)[0]
         for step in run.steps:
             assert step.metrics == compute_metrics(step.confusion)
 
     def test_confusion_covers_test_batch(self):
         stream = stationary_stream()
-        run = run_stream(stream, 1, "mean", "passive", NB)
+        run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
         for step in run.steps:
             test_batch = next(b for b in stream if b.year == step.t + 1)
             assert step.confusion.total == len(test_batch)
@@ -149,21 +197,21 @@ class TestModelStore:
     def test_save_and_load_latest(self, tmp_path):
         stream = stationary_stream()
         store = ModelStore(tmp_path / "models")
-        run = run_stream(stream, 1, "mean", "passive", NB, store=store,
-                         store_airport=None, replicate=0)
-        assert run.state.trainings_done == 3
+        run = run_stream(stream, 1, [("passive", "mean")], NB, store=store,
+                         store_airport=None, replicate=0)[0]
+        assert run.trainings_done == 3
         loaded = store.load_latest(None, "NB", "mean", "passive", 1, 0)
         assert loaded.training_window == (2005, 1)  # last trained step
         from driftlab.learn import predict
         rows = stream[-1].rows
         assert np.array_equal(predict(loaded, rows),
-                              predict(run.state.current_model, rows))
+                              predict(run.current_model, rows))
 
     def test_manifest_tracks_history(self, tmp_path):
         import json
         stream = stationary_stream()
         store = ModelStore(tmp_path / "models")
-        run_stream(stream, 1, "mean", "passive", NB, store=store, store_airport="SBGR")
+        run_stream(stream, 1, [("passive", "mean")], NB, store=store, store_airport="SBGR")
         key_dir = tmp_path / "models" / "SBGR__NB__mean__passive__b1__r0"
         manifest = json.loads((key_dir / "manifest.json").read_text())
         assert manifest["latest"] == "model_t2005.json"
@@ -185,9 +233,9 @@ class TestOnSyntheticDrift:
                                    seed=13)
         rows, _ = synth.generate_stream(spec)
         stream = partition_by_year(rows, (2001, 2006))
-        run = run_stream(stream, 1, "mean", "active", NB)
+        run = run_stream(stream, 1, [("active", "mean")], NB)[0]
         by_t = {s.t: s for s in run.steps}
         assert by_t[2004].drift.drift  # window 2004 vs 2003 straddles the shift
         assert by_t[2004].trained
-        assert run.state.trainings_done == 1 + sum(
+        assert run.trainings_done == 1 + sum(
             1 for s in run.steps if s.drift is not None and s.drift.drift)
