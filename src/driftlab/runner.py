@@ -211,11 +211,15 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                    cv_folds: int = 10,
                    model_store_dir: str | Path | None = None) -> list[dict]:
     """Run every grid cell, appending one line per (cell, step) to the
-    durable table at out_path. Completed work is skipped on restart
-    (append-only with keyed dedupe at (cell, t, replicate) granularity);
-    because per-cell seeds are deterministic, a recomputed partial cell
-    reproduces its already-written rows and only missing ones are appended.
-    A failing cell writes an error-marker row and does not abort the sweep.
+    durable table at out_path, in canonical cell order. The cells of one
+    (airport, classifier, b, replicate) share one run_stream pass.
+    Completed work is skipped on restart (append-only with keyed dedupe at
+    (cell, t, replicate) granularity); because per-cell seeds are
+    deterministic, a recomputed partial cell reproduces its already-written
+    rows and only missing ones are appended. A restart drops a torn last
+    line and raises ValueError when the table's manifest is missing or
+    records another config. A failing cell writes an error-marker row and
+    does not abort the sweep.
 
     hyperparameters maps kind -> hyperparameter dict; kinds left out are
     tuned by k-fold grid search on the first batch of their scale, frozen

@@ -1,7 +1,8 @@
-"""One pass over a batch stream runs every drift handling strategy of it:
-each cell decides retraining, the window's model is fit once for the cells
-that train, each distinct model predicts the next batch once, and each cell
-records its confusion counts and metrics.
+"""Baseline, passive and active retraining over a batch stream. One pass
+over the years runs every (strategy, detector) cell: each cell decides
+retraining, the window's model is fit once for the cells that train, each
+distinct model predicts the next batch once, and each cell records its
+confusion counts and metrics.
 
 Training-count bookkeeping is exact by construction: the first evaluable
 step always trains (there is no stored model to reuse, so no detection is
