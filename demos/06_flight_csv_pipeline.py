@@ -3,6 +3,8 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from driftlab.ingest import (PreprocessConfig, apply_normalizer, fit_normalizer,
                              load_flights, preprocess)
 
@@ -34,10 +36,11 @@ for row in result.rows:
     print(f"  {row.origin_airport}->{row.destination_state} year {row.year} "
           f"week {row.week_of_year:2d} delayed {row.delayed} features {row.numeric_features}")
 
-# Min-max normalization is fitted on a training window only and applied with
-# clamping (and mean imputation for the missing wx_wind above).
-norm = fit_normalizer(result.rows)
-scaled = apply_normalizer(norm, result.rows)
+# Min-max normalization works on a window's (rows, features) matrix: it is
+# fitted on a training window only and applied with clamping (and mean
+# imputation for the missing wx_wind above) in one matrix operation.
+features = np.vstack([row.numeric_features for row in result.rows])
+norm = fit_normalizer(features)
+scaled = apply_normalizer(norm, features)
 print("\nnormalized features (all in [0, 1]):")
-for row in scaled:
-    print(f"  {row.numeric_features.round(3)}")
+print(scaled.round(3))

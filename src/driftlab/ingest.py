@@ -279,16 +279,17 @@ class Normalizer:
         return self.mins.size
 
 
-def fit_normalizer(rows) -> Normalizer:
-    """Fit per-feature min/max (and imputation means) on training rows only."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("fit_normalizer requires at least one row")
-    matrix = np.vstack([r.numeric_features for r in rows])
+def fit_normalizer(features: np.ndarray) -> Normalizer:
+    """Fit per-feature min/max (and imputation means) on a training window's
+    (rows, features) matrix only."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise ValueError(f"fit_normalizer requires a non-empty (rows, features) matrix, "
+                         f"got shape {features.shape}")
     with np.errstate(invalid="ignore"):
-        means = np.nanmean(matrix, axis=0)
-        mins = np.nanmin(matrix, axis=0)
-        maxs = np.nanmax(matrix, axis=0)
+        means = np.nanmean(features, axis=0)
+        mins = np.nanmin(features, axis=0)
+        maxs = np.nanmax(features, axis=0)
     all_nan = ~np.isfinite(means)
     if np.any(all_nan):
         log.warning("fit_normalizer: %d feature(s) have no observed values; mapping to 0",
@@ -303,29 +304,19 @@ def fit_normalizer(rows) -> Normalizer:
     return Normalizer(mins=mins, maxs=maxs, means=means)
 
 
-def apply_normalizer(normalizer: Normalizer, rows) -> list[FlightFeatureRow]:
-    """Map each feature x -> (x - min)/(max - min), imputing missing values
-    with the training mean first and clamping results into [0, 1]; constant
-    features map to 0."""
+def apply_normalizer(normalizer: Normalizer, features: np.ndarray) -> np.ndarray:
+    """Map each feature x -> (x - min)/(max - min) over a (rows, features)
+    matrix, imputing missing values with the training mean first and
+    clamping results into [0, 1]; constant features map to 0."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] != normalizer.n_features:
+        raise ValueError(f"feature matrix has shape {features.shape}, normalizer expects "
+                         f"(rows, {normalizer.n_features})")
     span = normalizer.maxs - normalizer.mins
     safe_span = np.where(span == 0.0, 1.0, span)
-    out = []
-    for row in rows:
-        x = np.asarray(row.numeric_features, dtype=float)
-        if x.size != normalizer.n_features:
-            raise ValueError(f"row has {x.size} features, normalizer expects {normalizer.n_features}")
-        x = np.where(np.isnan(x), normalizer.means, x)
-        scaled = np.clip((x - normalizer.mins) / safe_span, 0.0, 1.0)
-        scaled = np.where(span == 0.0, 0.0, scaled)
-        out.append(FlightFeatureRow(
-            origin_airport=row.origin_airport,
-            destination_state=row.destination_state,
-            week_of_year=row.week_of_year,
-            year=row.year,
-            numeric_features=scaled,
-            delayed=row.delayed,
-        ))
-    return out
+    x = np.where(np.isnan(features), normalizer.means, features)
+    scaled = np.clip((x - normalizer.mins) / safe_span, 0.0, 1.0)
+    return np.where(span == 0.0, 0.0, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +342,10 @@ def save_rows(rows, feature_names, path: str | Path) -> None:
 
 def load_rows(path: str | Path) -> tuple[list[FlightFeatureRow], tuple[str, ...]]:
     with np.load(Path(path), allow_pickle=False) as data:
-        feature_names = tuple(str(n) for n in data["feature_names"])
-        rows = [FlightFeatureRow(
-            origin_airport=str(data["origin"][i]),
-            destination_state=str(data["dest_state"][i]),
-            week_of_year=int(data["week"][i]),
-            year=int(data["year"][i]),
-            numeric_features=np.array(data["features"][i], dtype=float),
-            delayed=int(data["delayed"][i]),
-        ) for i in range(data["year"].size)]
+        # a member lookup decompresses the whole member, so read each once
+        feature_names = tuple(data["feature_names"].tolist())
+        columns = [data[name].tolist() for name in ("origin", "dest_state", "week", "year")]
+        features, delayed = np.asarray(data["features"], dtype=float), data["delayed"].tolist()
+    # zipped in FlightFeatureRow field order
+    rows = [FlightFeatureRow(*fields) for fields in zip(*columns, features, delayed)]
     return rows, feature_names

@@ -129,8 +129,7 @@ CAT_COLUMNS = ("origin_airport", "destination_state", "week_of_year")
 
 
 def _extract(rows) -> tuple[np.ndarray, list[list], np.ndarray]:
-    numeric = (np.vstack([r.numeric_features for r in rows])
-               if rows else np.zeros((0, 0)))
+    numeric = np.vstack([r.numeric_features for r in rows])
     cats = [[r.origin_airport for r in rows],
             [r.destination_state for r in rows],
             [r.week_of_year for r in rows]]
@@ -497,9 +496,9 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
     rows = list(rows)
     if not rows:
         raise ValueError("train requires a non-empty training window")
-    normalizer = fit_normalizer(rows)
-    scaled = apply_normalizer(normalizer, rows)
-    numeric, cats, y = _extract(scaled)
+    raw, cats, y = _extract(rows)
+    normalizer = fit_normalizer(raw)
+    numeric = apply_normalizer(normalizer, raw)
     vocabs = _build_vocabs(cats)
     codes = _encode(cats, vocabs)
     vocab_sizes = [len(v) for v in vocabs]
@@ -540,8 +539,8 @@ def predict(model: TrainedModel, rows) -> np.ndarray:
     rows = list(rows)
     if not rows:
         return np.zeros(0, dtype=int)
-    scaled = apply_normalizer(model.normalizer, rows)
-    numeric, cats, _ = _extract(scaled)
+    raw, cats, _ = _extract(rows)
+    numeric = apply_normalizer(model.normalizer, raw)
     codes = _encode(cats, model.vocabs)
     if model.spec.kind == KIND_MLP:
         X = np.hstack([numeric, one_hot(codes, model.vocab_sizes)])

@@ -22,7 +22,7 @@ from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, run_stream
-from .windowing import partition_by_year
+from .windowing import partition_by_year, step_years
 
 log = logging.getLogger(__name__)
 
@@ -96,12 +96,6 @@ def grid_cells(grid: ExperimentGrid) -> list[Cell]:
                 cells.append(Cell(airport=airport, classifier=kind, b=b,
                                   strategy=dh, detector=dd, replicate=rep))
     return cells
-
-
-def expected_step_years(stream_years: list[int], b: int,
-                        year_range: tuple[int, int]) -> list[int]:
-    lo, hi = year_range
-    return [t for t in stream_years[b - 1:-1] if lo <= t <= hi]
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +212,9 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     deterministic, a recomputed partial cell reproduces its already-written
     rows and only missing ones are appended. A restart drops a torn last
     line and raises ValueError when the table's manifest is missing or
-    records another config. A failing cell writes an error-marker row and
-    does not abort the sweep.
+    records another config. A failing cell writes an error-marker row
+    (t=-1) and does not abort the sweep; a restart treats that cell as
+    complete, so deleting its error row is how to retry it.
 
     hyperparameters maps kind -> hyperparameter dict; kinds left out are
     tuned by k-fold grid search on the first batch of their scale, frozen
@@ -268,10 +263,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                 scoped = [r for r in rows if airport is None or r.origin_airport == airport]
                 streams[airport] = partition_by_year(scoped, batch_span)
             stream = streams[airport]
-            expected = expected_step_years([batch.year for batch in stream], b, grid.years)
-            pending = [cell for cell in group if not expected or any(
-                (cell.airport_key, kind, b, cell.detector_key, cell.strategy, cell.replicate, t)
-                not in existing_keys for t in expected)]
+            expected = step_years([batch.year for batch in stream], b, grid.years)
+            pending = [cell for cell in group if not _cell_done(cell, expected, existing_keys)]
             new_rows: dict[Cell, list[dict]] = {}
             for rep in sorted({cell.replicate for cell in pending}):
                 cells = [cell for cell in pending if cell.replicate == rep]
@@ -301,6 +294,15 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     finally:
         fh.close()
     return load_results(out_path)
+
+
+def _cell_done(cell: Cell, expected: list[int], existing_keys: set[tuple]) -> bool:
+    """A cell is done once the table holds its error row (t=-1) or a row for
+    every expected step."""
+    key = (cell.airport_key, cell.classifier, cell.b, cell.detector_key, cell.strategy,
+           cell.replicate)
+    return key + (-1,) in existing_keys or (
+        bool(expected) and all(key + (t,) in existing_keys for t in expected))
 
 
 def _check_resume_manifest(path: Path, manifest: dict) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import learn
 from .drift import DEFAULT_MIN_WEEK_FLIGHTS, DriftDecision, STRATEGIES, decide_drift
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
-from .windowing import Batch, WindowUnderflowError, batch_sequence
+from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
 log = logging.getLogger(__name__)
 
@@ -71,23 +71,17 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                store: "ModelStore | None" = None,
                store_airport: str | None = None) -> list[StreamRun]:
     """Run each (strategy, detector) cell over every evaluable step of the
-    stream; one StreamRun per cell, in order. An error ends only its cell.
-
-    A step t is evaluable when the b-window ending at t exists and batch t+1
-    exists; year_range (inclusive, on t) restricts the sweep. A cell skips t
-    (with a log line) on an empty test batch or an all-empty training window.
+    stream (windowing.step_years); one StreamRun per cell, in order. An
+    error ends only its cell. A cell skips t (with a log line) on an empty
+    test batch or an all-empty training window.
     """
     if any(dh not in STRATEGIES for dh, _ in cells):
         raise ValueError(f"unknown strategy in {cells!r}")
     years = [batch.year for batch in stream]
     if len(years) < b + 1:
         raise WindowUnderflowError(f"stream of {len(years)} batches has no evaluable step for b={b}")
-    candidate_ts = years[b - 1:-1]
-    if year_range is not None:
-        lo, hi = year_range
-        candidate_ts = [t for t in candidate_ts if lo <= t <= hi]
     runs = [StreamRun() for _ in cells]
-    for t in candidate_ts:
+    for t in step_years(years, b, year_range):
         d_i = batch_sequence(stream, t, b)
         try:
             d_j = batch_sequence(stream, t - 1, b)

@@ -89,6 +89,18 @@ def batch_sequence(stream: list[Batch], end_year: int, b: int) -> BatchSequence:
     return BatchSequence(end_index=pos, size=b, batches=tuple(stream[pos - b + 1:pos + 1]))
 
 
+def step_years(years: list[int], b: int,
+               year_range: tuple[int, int] | None = None) -> list[int]:
+    """The evaluable steps t of a stream with these batch years: the b-window
+    ending at t exists and batch t+1 exists; year_range (inclusive, on t)
+    restricts them."""
+    steps = years[b - 1:-1]
+    if year_range is None:
+        return steps
+    lo, hi = year_range
+    return [t for t in steps if lo <= t <= hi]
+
+
 def sliding_window(stream: list[Batch], b: int) -> list[BatchSequence]:
     """All batch sequences of size b, in order: n - b + 1 windows."""
     n = len(stream)

@@ -1,0 +1,23 @@
+"""The quick demos run to completion. 04 and 05 (about 50 s together) are
+left out to keep the suite fast."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+QUICK_DEMOS = ("01_synthetic_streams.py", "02_drift_detection.py",
+               "03_retraining_strategies.py", "06_flight_csv_pipeline.py")
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

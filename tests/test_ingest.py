@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -161,48 +163,64 @@ class TestConfig:
         assert len(states) == 10
 
 
+def column(values):
+    """A one-feature (rows, 1) matrix."""
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
 class TestNormalizer:
     def test_min_max_mapping(self):
-        rows = [make_row(features=(v,)) for v in (10.0, 20.0, 30.0)]
-        norm = fit_normalizer(rows)
-        out = apply_normalizer(norm, rows)
-        assert [r.numeric_features[0] for r in out] == [0.0, 0.5, 1.0]
+        features = column([10.0, 20.0, 30.0])
+        norm = fit_normalizer(features)
+        out = apply_normalizer(norm, features)
+        assert isinstance(out, np.ndarray) and out.shape == (3, 1)
+        assert out[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_clamping(self):
-        rows = [make_row(features=(v,)) for v in (10.0, 30.0)]
-        norm = fit_normalizer(rows)
-        high = apply_normalizer(norm, [make_row(features=(40.0,))])[0]
-        low = apply_normalizer(norm, [make_row(features=(0.0,))])[0]
-        assert high.numeric_features[0] == 1.0
-        assert low.numeric_features[0] == 0.0
+        norm = fit_normalizer(column([10.0, 30.0]))
+        high = apply_normalizer(norm, column([40.0]))[0]
+        low = apply_normalizer(norm, column([0.0]))[0]
+        assert high[0] == 1.0
+        assert low[0] == 0.0
 
     def test_constant_feature_maps_to_zero_with_warning(self, caplog):
-        rows = [make_row(features=(5.0,)) for _ in range(3)]
+        features = column([5.0, 5.0, 5.0])
         with caplog.at_level("WARNING"):
-            norm = fit_normalizer(rows)
+            norm = fit_normalizer(features)
         assert "constant feature" in caplog.text
-        out = apply_normalizer(norm, rows)
-        assert all(r.numeric_features[0] == 0.0 for r in out)
+        out = apply_normalizer(norm, features)
+        assert np.all(out[:, 0] == 0.0)
 
     def test_missing_values_imputed_with_training_mean(self):
-        rows = [make_row(features=(10.0,)), make_row(features=(30.0,)),
-                make_row(features=(np.nan,))]
-        norm = fit_normalizer(rows)
-        out = apply_normalizer(norm, rows)
-        assert out[2].numeric_features[0] == pytest.approx(0.5)  # mean 20 -> 0.5
+        features = column([10.0, 30.0, np.nan])
+        norm = fit_normalizer(features)
+        out = apply_normalizer(norm, features)
+        assert out[2, 0] == pytest.approx(0.5)  # mean 20 -> 0.5
 
     def test_extremes_map_to_unit_interval(self):
         rng = np.random.default_rng(0)
-        rows = [make_row(features=tuple(rng.normal(size=3))) for _ in range(50)]
-        norm = fit_normalizer(rows)
-        out = np.vstack([r.numeric_features for r in apply_normalizer(norm, rows)])
+        features = np.vstack([rng.normal(size=3) for _ in range(50)])
+        norm = fit_normalizer(features)
+        out = apply_normalizer(norm, features)
         assert np.allclose(out.min(axis=0), 0.0)
         assert np.allclose(out.max(axis=0), 1.0)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_empty_fit_errors(self):
         with pytest.raises(ValueError):
-            fit_normalizer([])
+            fit_normalizer(np.zeros((0, 2)))
+
+    def test_wrong_column_count_errors(self):
+        norm = fit_normalizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(ValueError, match="expects"):
+            apply_normalizer(norm, np.array([[1.0, 2.0, 3.0]]))
+
+    def test_non_matrix_errors(self):
+        norm = fit_normalizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        with pytest.raises(ValueError, match="expects"):
+            apply_normalizer(norm, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            fit_normalizer(np.array([1.0, 2.0]))
 
 
 class TestRowIO:
@@ -220,6 +238,27 @@ class TestRowIO:
                    (back.origin_airport, back.destination_state, back.week_of_year,
                     back.year, back.delayed)
             assert np.array_equal(orig.numeric_features, back.numeric_features)
+
+    def test_each_member_read_once(self, tmp_path, monkeypatch):
+        rows = [make_row(year=2003 + i % 4, week=1 + i, delayed=i % 2,
+                         features=(0.1 * i, 1.0 - 0.1 * i)) for i in range(50)]
+        path = tmp_path / "rows.npz"
+        save_rows(rows, ("a", "b"), path)
+        reads = Counter()
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(self, key):
+            reads[key] += 1
+            return getitem(self, key)
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        loaded, _ = load_rows(path)
+        assert len(loaded) == 50
+        assert reads == Counter({member: 1 for member in (
+            "origin", "dest_state", "week", "year", "delayed", "features", "feature_names")})
+        back = loaded[7]
+        assert type(back.origin_airport) is str and type(back.destination_state) is str
+        assert type(back.week_of_year) is int and type(back.year) is int
+        assert type(back.delayed) is int
 
     def test_empty_table(self, tmp_path):
         path = tmp_path / "rows.npz"

@@ -42,8 +42,8 @@ class TestNaiveBayes:
         model = train(spec, toy_separable_rows)
         clf = model.classifier
 
-        scaled = apply_normalizer(model.normalizer, toy_separable_rows)
-        numeric, cats, y = _extract(scaled)
+        raw, cats, y = _extract(toy_separable_rows)
+        numeric = apply_normalizer(model.normalizer, raw)
         codes = _encode(cats, model.vocabs)
 
         for i in range(6):
@@ -67,8 +67,8 @@ class TestNaiveBayes:
     def test_rescaling_invariance_of_argmax(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
         model = train(spec, toy_separable_rows)
-        scaled = apply_normalizer(model.normalizer, toy_separable_rows)
-        numeric, cats, _ = _extract(scaled)
+        raw, cats, _ = _extract(toy_separable_rows)
+        numeric = apply_normalizer(model.normalizer, raw)
         codes = _encode(cats, model.vocabs)
         jll = model.classifier.joint_log_likelihood(numeric, codes)
         # rescaling every likelihood by a positive constant shifts all
@@ -96,9 +96,8 @@ class TestRandomForest:
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5,
                                           "bootstrap": False})
         model = train(spec, toy_separable_rows)
-        norm = fit_normalizer(toy_separable_rows)
-        scaled = apply_normalizer(norm, toy_separable_rows)
-        numeric, cats, y = _extract(scaled)
+        raw, cats, y = _extract(toy_separable_rows)
+        numeric = apply_normalizer(fit_normalizer(raw), raw)
         vocabs = _build_vocabs(cats)
         codes = _encode(cats, vocabs)
         tree = DecisionTree(5, np.random.default_rng([4, 0])).fit(numeric, codes, y)

@@ -109,6 +109,32 @@ class TestDriftAnalysis:
         assert errors and all(r["classifier"] == "RF" for r in errors)
         assert any(not r["error"] and r["classifier"] == "NB" for r in results)
 
+    def test_resume_does_not_rerun_failed_cells(self, tmp_path, monkeypatch):
+        rows = synth_rows(years=5)
+        bad_hp = dict(FAST_HP)
+        bad_hp["RF"] = {"trees_count": 2, "predictors_per_split": 99}  # > feature count
+        grid = tiny_grid(years=(2001, 2004), classifiers=("NB", "RF"))
+        out = tmp_path / "res.csv"
+        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        full = out.read_bytes()
+        calls = []
+        run_stream = runner.run_stream
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["replicate"])
+            return run_stream(*args, **kwargs)
+        monkeypatch.setattr(runner, "run_stream", counting)
+        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        assert calls == []
+        assert out.read_bytes() == full
+        # deleting an error row retries its cell, which fails again the same way
+        lines = full.splitlines(keepends=True)
+        error_line = next(line for line in lines if b",RF," in line and b",-1," in line)
+        out.write_bytes(b"".join(line for line in lines if line != error_line))
+        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        assert len(calls) == 1
+        assert sorted(out.read_bytes().splitlines()) == sorted(full.splitlines())
+
     def test_manifest_written(self, tmp_path):
         rows = synth_rows(years=4)
         out = tmp_path / "res.csv"

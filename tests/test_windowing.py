@@ -2,7 +2,8 @@ import pytest
 
 from conftest import make_row
 from driftlab.windowing import (Batch, BatchSequence, WindowUnderflowError,
-                                batch_sequence, partition_by_year, sliding_window)
+                                batch_sequence, partition_by_year, sliding_window,
+                                step_years)
 
 
 def stream_for(years):
@@ -88,3 +89,16 @@ class TestSlidingWindow:
         stream = stream_for(range(2003, 2010))
         for i, window in enumerate(sliding_window(stream, 2)):
             assert window.rows == batch_sequence(stream, stream[i + 1].year, 2).rows
+
+
+class TestStepYears:
+    def test_window_and_next_batch_must_exist(self):
+        years = list(range(2003, 2010))
+        assert step_years(years, 1) == list(range(2003, 2009))
+        assert step_years(years, 3) == list(range(2005, 2009))
+        assert step_years(years, 7) == []
+
+    def test_year_range_is_inclusive(self):
+        years = list(range(2003, 2010))
+        assert step_years(years, 2, (2005, 2007)) == [2005, 2006, 2007]
+        assert step_years(years, 2, (2001, 2003)) == []
