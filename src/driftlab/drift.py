@@ -6,6 +6,15 @@ Lilliefors KS test (normal iff neither rejects, and the parametric branch
 requires both vectors normal); means are then compared with Welch's t or
 Wilcoxon, variances with the F test or Levene. A detector flags drift on
 its own test, or on either for the combined detector.
+
+A decision depends only on the labels of the two windows, so a
+DetectionMemo shares the work of one sweep over one stream: each yearly
+batch's (year, week) counts, each window's proportions and normality
+verdict, each window pair's mean and variance test (computed only when a
+detector asks for it), and each decision are computed once, whatever the
+classifier, replicate or detector asking. A failure is memoised too and
+re-raised for every caller, so the fail-safe retrain and a propagating
+error reach each of them as if it had computed the result itself.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 
 from . import stats
 from .stats import DegenerateSampleError, TestResult
-from .windowing import BatchSequence
+from .windowing import Batch, BatchSequence
 
 log = logging.getLogger(__name__)
 
@@ -68,17 +77,71 @@ class DriftDecision:
     drift: bool
 
 
-def weekly_delay_proportions(seq: BatchSequence,
-                             min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS) -> WeeklyProportions:
-    """Delay proportion per (year, week) cell across the whole window,
-    chronological; weeks with fewer than min_week_flights rows are dropped
-    to keep the proportions stable."""
+def once(cache: dict, key, compute):
+    """compute() at most once per key; an exception it raised is re-raised."""
+    if key not in cache:
+        try:
+            cache[key] = compute()
+        except Exception as exc:
+            cache[key] = exc
+    if isinstance(cache[key], Exception):
+        raise cache[key]
+    return cache[key]
+
+
+class DetectionMemo:
+    """The detection work of one sweep over one stream, each piece computed
+    once (see the module docstring). Windows are keyed by the identity of
+    their batches, which the memo keeps alive; give it only windows of one
+    stream, and let it live no longer than the sweep that made it."""
+
+    def __init__(self):
+        self._results: dict = {}
+        self._held: dict[int, object] = {}
+
+    def once(self, key, compute):
+        return once(self._results, key, compute)
+
+    def key(self, obj) -> int:
+        """id(obj), with obj kept alive so that the id stays its own."""
+        self._held[id(obj)] = obj
+        return id(obj)
+
+    def window(self, seq: BatchSequence | None) -> tuple[int, ...] | None:
+        """The key of a window (None for no window)."""
+        return None if seq is None else tuple(map(self.key, seq.batches))
+
+    def week_counts(self, batch: Batch) -> dict[tuple[int, int], tuple[int, int]]:
+        return self.once(("counts", self.key(batch)), lambda: week_counts(batch))
+
+    def weekly(self, seq: BatchSequence, min_week_flights: int) -> WeeklyProportions:
+        return self.once(("weekly", self.window(seq), min_week_flights),
+                         lambda: weekly_delay_proportions(seq, min_week_flights, memo=self))
+
+
+def week_counts(batch: Batch) -> dict[tuple[int, int], tuple[int, int]]:
+    """(flights, delayed flights) per (year, week) of one batch."""
     counts: dict[tuple[int, int], list[int]] = {}
-    for row in seq.rows:
-        key = (row.year, row.week_of_year)
-        cell = counts.setdefault(key, [0, 0])
+    for row in batch.rows:
+        cell = counts.setdefault((row.year, row.week_of_year), [0, 0])
         cell[0] += 1
         cell[1] += int(row.delayed)
+    return {key: (n, d) for key, (n, d) in counts.items()}
+
+
+def weekly_delay_proportions(seq: BatchSequence,
+                             min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
+                             memo: DetectionMemo | None = None) -> WeeklyProportions:
+    """Delay proportion per (year, week) cell across the whole window,
+    chronological; weeks with fewer than min_week_flights rows are dropped
+    to keep the proportions stable. The window's counts are the sum of its
+    batches' week_counts, taken from memo when one is given."""
+    counts: dict[tuple[int, int], tuple[int, int]] = {}
+    for batch in seq.batches:
+        batch_counts = week_counts(batch) if memo is None else memo.week_counts(batch)
+        for key, (n, d) in batch_counts.items():
+            total = counts.get(key, (0, 0))
+            counts[key] = (total[0] + n, total[1] + d)
     entries = [WeekEntry(year=year, week_of_year=week, n_flights=n, delay_proportion=d / n)
                for (year, week), (n, d) in sorted(counts.items())
                if n >= min_week_flights]
@@ -96,8 +159,10 @@ def _is_normal(vector: np.ndarray, alpha: float) -> bool:
 
 
 def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportions,
-           alpha: float = 0.05) -> DriftDecision:
-    """Compare two weekly-proportion vectors and decide drift.
+           alpha: float = 0.05, memo: DetectionMemo | None = None) -> DriftDecision:
+    """Compare two weekly-proportion vectors and decide drift. A memo shares
+    each vector's normality verdict and each pair's mean and variance test
+    with the other calls given it.
 
     Raises InsufficientWeeklySupportError or DegenerateSampleError when the
     vectors cannot support the tests; callers treat those as drift.
@@ -109,19 +174,23 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
     if cur.size < 4 or prev.size < 4:
         raise InsufficientWeeklySupportError(
             "drift detection requires at least 4 weekly proportions per window")
+    memo = memo if memo is not None else DetectionMemo()
+    a, b = memo.key(current), memo.key(previous)
 
-    normal_a = _is_normal(cur, alpha)
-    normal_b = _is_normal(prev, alpha)
+    normal_a = memo.once(("normal", a, alpha), lambda: _is_normal(cur, alpha))
+    normal_b = memo.once(("normal", b, alpha), lambda: _is_normal(prev, alpha))
     parametric = normal_a and normal_b
 
     mean_test = None
     variance_test = None
     if detector in (DETECTOR_MEAN, DETECTOR_MEAN_VARIANCE):
-        mean_test = (stats.welch_t(cur, prev, alpha=alpha) if parametric
-                     else stats.wilcoxon_rank_sum(cur, prev, alpha=alpha))
+        mean_test = memo.once(("mean", a, b, alpha), lambda: (
+            stats.welch_t(cur, prev, alpha=alpha) if parametric
+            else stats.wilcoxon_rank_sum(cur, prev, alpha=alpha)))
     if detector in (DETECTOR_VARIANCE, DETECTOR_MEAN_VARIANCE):
-        variance_test = (stats.f_variance(cur, prev, alpha=alpha) if parametric
-                         else stats.levene(cur, prev, alpha=alpha))
+        variance_test = memo.once(("variance", a, b, alpha), lambda: (
+            stats.f_variance(cur, prev, alpha=alpha) if parametric
+            else stats.levene(cur, prev, alpha=alpha)))
 
     if detector == DETECTOR_MEAN:
         drift = mean_test.reject
@@ -136,6 +205,7 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
 def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None,
                  alpha: float = 0.05,
                  min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
+                 memo: DetectionMemo | None = None,
                  ) -> tuple[bool, DriftDecision | None]:
     """Decide whether to (re)train at this step, with the DriftDecision when
     one was computed.
@@ -144,7 +214,9 @@ def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None
     lagged window), passive always trains, active trains when the detector
     flags drift between the current and lagged windows. A detection that
     fails for lack of weekly support or of sample variation counts as drift
-    (fail-safe retrain); any other error propagates.
+    (fail-safe retrain); any other error propagates. A memo shares the
+    windows' proportions, normality verdicts and tests with the other
+    decisions given it.
     """
     if dh not in STRATEGIES:
         raise ValueError(f"unknown strategy {dh!r}")
@@ -154,11 +226,10 @@ def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None
         return d_j is None, None
     if d_j is None:
         return True, None
+    memo = memo if memo is not None else DetectionMemo()
     try:
-        decision = detect(dd,
-                          weekly_delay_proportions(d_i, min_week_flights),
-                          weekly_delay_proportions(d_j, min_week_flights),
-                          alpha=alpha)
+        decision = detect(dd, memo.weekly(d_i, min_week_flights),
+                          memo.weekly(d_j, min_week_flights), alpha=alpha, memo=memo)
     except (DegenerateSampleError, InsufficientWeeklySupportError) as exc:
         log.warning("active detection failed (%s); treating as drift", exc)
         return True, None

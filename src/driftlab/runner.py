@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import learn, stats
-from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE
+from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE, STRATEGY_BASELINE, DetectionMemo
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, run_stream
-from .windowing import partition_by_year, step_years
+from .windowing import partition_by_year, recorded_step_years
 
 log = logging.getLogger(__name__)
 
@@ -208,13 +208,21 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     durable table at out_path, in canonical cell order. The cells of one
     (airport, classifier, b, replicate) share one run_stream pass.
     Completed work is skipped on restart (append-only with keyed dedupe at
-    (cell, t, replicate) granularity); because per-cell seeds are
+    (cell, t, replicate) granularity); a cell is complete once it has a
+    row for each step it records (windowing.recorded_step_years, which
+    leaves out the steps it skips). Because per-cell seeds are
     deterministic, a recomputed partial cell reproduces its already-written
     rows and only missing ones are appended. A restart drops a torn last
     line and raises ValueError when the table's manifest is missing or
     records another config. A failing cell writes an error-marker row
     (t=-1) and does not abort the sweep; a restart treats that cell as
     complete, so deleting its error row is how to retry it.
+
+    Each scale's stream gets one drift.DetectionMemo, passed to every
+    run_stream call on it: each (b, detector, t) decision, and the weekly
+    proportions, normality verdicts and tests behind it, are computed once
+    for all the classifiers and replicates of the scale. The memos live
+    only as long as this call.
 
     hyperparameters maps kind -> hyperparameter dict; kinds left out are
     tuned by k-fold grid search on the first batch of their scale, frozen
@@ -255,6 +263,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
 
     streams: dict[str | None, list] = {}
+    memos: dict[str | None, DetectionMemo] = {}
     specs: dict[tuple[str | None, str], dict] = {}
     try:
         for (airport, kind, b), group in itertools.groupby(
@@ -262,9 +271,10 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
             if airport not in streams:
                 scoped = [r for r in rows if airport is None or r.origin_airport == airport]
                 streams[airport] = partition_by_year(scoped, batch_span)
+                memos[airport] = DetectionMemo()
             stream = streams[airport]
-            expected = step_years([batch.year for batch in stream], b, grid.years)
-            pending = [cell for cell in group if not _cell_done(cell, expected, existing_keys)]
+            pending = [cell for cell in group
+                       if not _cell_done(cell, stream, grid.years, existing_keys)]
             new_rows: dict[Cell, list[dict]] = {}
             for rep in sorted({cell.replicate for cell in pending}):
                 cells = [cell for cell in pending if cell.replicate == rep]
@@ -276,7 +286,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                                                   for cell in cells], spec,
                                       year_range=grid.years, alpha=alpha,
                                       min_week_flights=min_week_flights, replicate=rep,
-                                      store=store, store_airport=airport)
+                                      store=store, store_airport=airport,
+                                      memo=memos[airport])
                 except Exception as exc:  # a failing stream must not abort the sweep
                     log.exception("cells %s failed", cells)
                     runs = [StreamRun(error=exc) for _ in cells]
@@ -296,11 +307,14 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     return load_results(out_path)
 
 
-def _cell_done(cell: Cell, expected: list[int], existing_keys: set[tuple]) -> bool:
+def _cell_done(cell: Cell, stream, year_range: tuple[int, int],
+               existing_keys: set[tuple]) -> bool:
     """A cell is done once the table holds its error row (t=-1) or a row for
-    every expected step."""
+    every step it records."""
     key = (cell.airport_key, cell.classifier, cell.b, cell.detector_key, cell.strategy,
            cell.replicate)
+    expected = recorded_step_years(stream, cell.b, year_range,
+                                   keeps_first_model=cell.strategy == STRATEGY_BASELINE)
     return key + (-1,) in existing_keys or (
         bool(expected) and all(key + (t,) in existing_keys for t in expected))
 
@@ -405,6 +419,9 @@ def topk_frequency(results: list[dict], k_range, rank_metric: str = "f1") -> Top
     """
     if rank_metric not in METRIC_COLUMNS:
         raise ValueError(f"rank_metric must be one of {METRIC_COLUMNS}")
+    k_range = list(k_range)
+    if any(k < 1 for k in k_range):
+        raise ValueError(f"top-k needs every k >= 1, got {k_range}")
     if not results:
         raise ValueError("no results to rank")
     values: dict[tuple, list[float]] = {}

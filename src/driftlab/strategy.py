@@ -4,6 +4,12 @@ retraining, the window's model is fit once for the cells that train, each
 distinct model predicts the next batch once, and each cell records its
 confusion counts and metrics.
 
+Detection is shared through a drift.DetectionMemo: each distinct (strategy,
+detector, window pair) decision is made once per memo, and the windows'
+proportions, normality verdicts and tests behind it once across detectors.
+A sweep passes one memo per stream, so the classifiers and replicates of a
+scale share every decision; a run_stream call without one makes its own.
+
 Training-count bookkeeping is exact by construction: the first evaluable
 step always trains (there is no stored model to reuse, so no detection is
 run), after which baseline never trains again, passive trains every step,
@@ -18,7 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import learn
-from .drift import DEFAULT_MIN_WEEK_FLIGHTS, DriftDecision, STRATEGIES, decide_drift
+from .drift import (DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision, STRATEGIES,
+                    decide_drift, once)
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
 from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
@@ -45,18 +52,6 @@ class StreamRun:
     error: Exception | None = None
 
 
-def _once(cache: dict, key, compute):
-    """compute() at most once per key; an exception it raised is re-raised."""
-    if key not in cache:
-        try:
-            cache[key] = compute()
-        except Exception as exc:
-            cache[key] = exc
-    if isinstance(cache[key], Exception):
-        raise cache[key]
-    return cache[key]
-
-
 def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]:
     preds = learn.predict(model, batch.rows)
     confusion = learn.confusion_from_predictions([row.delayed for row in batch.rows], preds)
@@ -69,17 +64,21 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                replicate: int = 0,
                store: "ModelStore | None" = None,
-               store_airport: str | None = None) -> list[StreamRun]:
+               store_airport: str | None = None,
+               memo: DetectionMemo | None = None) -> list[StreamRun]:
     """Run each (strategy, detector) cell over every evaluable step of the
     stream (windowing.step_years); one StreamRun per cell, in order. An
     error ends only its cell. A cell skips t (with a log line) on an empty
-    test batch or an all-empty training window.
+    test batch or an all-empty training window where it would train
+    (windowing.recorded_step_years). Decisions come from memo, which must
+    belong to this stream; without one, the call makes its own.
     """
     if any(dh not in STRATEGIES for dh, _ in cells):
         raise ValueError(f"unknown strategy in {cells!r}")
     years = [batch.year for batch in stream]
     if len(years) < b + 1:
         raise WindowUnderflowError(f"stream of {len(years)} batches has no evaluable step for b={b}")
+    memo = memo if memo is not None else DetectionMemo()
     runs = [StreamRun() for _ in cells]
     for t in step_years(years, b, year_range):
         d_i = batch_sequence(stream, t, b)
@@ -101,21 +100,24 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                     # nothing to reuse: forced training, no detection to run
                     train_flag, decision = True, None
                 else:
-                    train_flag, decision = decide_drift(dd, dh, d_i, d_j, alpha=alpha,
-                                                        min_week_flights=min_week_flights)
+                    train_flag, decision = memo.once(
+                        ("decision", dd, dh, memo.window(d_i), memo.window(d_j), alpha,
+                         min_week_flights),
+                        lambda: decide_drift(dd, dh, d_i, d_j, alpha=alpha,
+                                             min_week_flights=min_week_flights, memo=memo))
                 if train_flag and d_i.row_count == 0:
                     log.warning("step t=%d skipped: refusing to train on an all-empty window", t)
                     run.skipped_years.append(t)
                     continue
                 if train_flag:
-                    run.current_model = _once(shared, "model", lambda: learn.train(
+                    run.current_model = once(shared, "model", lambda: learn.train(
                         spec, d_i.rows, training_window=(t, b)))
                     run.trainings_done += 1
                     if store is not None:
                         store.save(run.current_model, airport=store_airport, kind=spec.kind,
                                    dd=dd, dh=dh, b=b, replicate=replicate, t=t)
                 model = run.current_model
-                confusion, metrics = _once(shared, id(model), lambda: _score(model, test_batch))
+                confusion, metrics = once(shared, id(model), lambda: _score(model, test_batch))
                 run.steps.append(StepResult(t=t, trained=train_flag, drift=decision,
                                             confusion=confusion, metrics=metrics,
                                             replicate=replicate))

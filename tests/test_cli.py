@@ -116,6 +116,14 @@ class TestRunAndAnalyze:
         out = capsys.readouterr().out
         assert "\n2\tstrategy\t" in out and "\n3\tstrategy\t" in out
 
+    def test_k_below_one_fails(self, tmp_path, synth_spec_file, capsys):
+        results_path = run_pipeline(tmp_path, synth_spec_file)
+        capsys.readouterr()
+        assert main(["analyze", "topk", "--results", str(results_path), "--k", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert "k >= 1" in captured.err
+        assert "\tstrategy\t" not in captured.out
+
     def test_run_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"rows": "x.npz"}))

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import make_row, varied_weekly_rows, weekly_rows
 from driftlab import drift
-from driftlab.drift import (DETECTORS, InsufficientWeeklySupportError, WeeklyProportions,
-                            WeekEntry, decide_drift, detect,
+from driftlab.drift import (DETECTORS, DetectionMemo, InsufficientWeeklySupportError,
+                            WeeklyProportions, WeekEntry, decide_drift, detect,
                             weekly_delay_proportions)
 from driftlab.stats import DegenerateSampleError
 from driftlab.windowing import batch_sequence, partition_by_year
@@ -207,3 +207,58 @@ class TestActDrift:
             db = detect(dd, weekly_delay_proportions(batch_sequence(stream_b, 2004, 1)),
                         weekly_delay_proportions(batch_sequence(stream_b, 2003, 1)))
             assert da.drift == db.drift
+
+
+class TestDetectionMemo:
+    def _stream(self):
+        rows = []
+        for i, year in enumerate(range(2003, 2007)):
+            rows += varied_weekly_rows(year, base=14 + 3 * i)
+        return partition_by_year(rows, (2003, 2006))
+
+    def test_batch_counts_give_the_same_proportions(self, monkeypatch):
+        stream = self._stream()
+        windows = [batch_sequence(stream, batch.year, b)
+                   for b in (1, 2, 3) for batch in stream[b - 1:]]
+        fresh = [weekly_delay_proportions(seq) for seq in windows]
+        counted = []
+        real = drift.week_counts
+
+        def week_counts(batch):
+            counted.append(batch.year)
+            return real(batch)
+        monkeypatch.setattr(drift, "week_counts", week_counts)
+        memo = DetectionMemo()
+        assert [memo.weekly(seq, 5) for seq in windows] == fresh
+        assert sorted(counted) == [2003, 2004, 2005, 2006]
+        again = batch_sequence(stream, 2006, 3)
+        assert memo.weekly(again, 5) is memo.weekly(windows[-1], 5)
+
+    def test_decisions_match_unshared_ones(self):
+        stream = self._stream()
+        memo = DetectionMemo()
+        for b in (1, 2):
+            for t in range(2003 + b, 2007):
+                d_i, d_j = batch_sequence(stream, t, b), batch_sequence(stream, t - 1, b)
+                for dd in DETECTORS:
+                    assert decide_drift(dd, "active", d_i, d_j, memo=memo) == decide_drift(
+                        dd, "active", d_i, d_j)
+
+    def test_an_error_is_kept_by_its_memo_only(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("bug inside detection")
+        monkeypatch.setattr(drift.stats, "welch_t", broken)
+        monkeypatch.setattr(drift.stats, "wilcoxon_rank_sum", broken)
+        stream = self._stream()
+        d_i, d_j = batch_sequence(stream, 2005, 1), batch_sequence(stream, 2004, 1)
+        memo = DetectionMemo()
+        for dd in ("mean", "mean_variance"):
+            with pytest.raises(ValueError, match="bug inside detection"):
+                decide_drift(dd, "active", d_i, d_j, memo=memo)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        train, decision = decide_drift("mean", "active", d_i, d_j, memo=DetectionMemo())
+        assert decision is not None and train == decision.drift

@@ -135,6 +135,78 @@ class TestDriftAnalysis:
         assert len(calls) == 1
         assert sorted(out.read_bytes().splitlines()) == sorted(full.splitlines())
 
+    def test_resume_does_not_rerun_cells_with_skipped_steps(self, tmp_path, monkeypatch):
+        # no 2004 rows: every cell skips t=2003 (empty test batch); passive
+        # and active skip t=2004 too (they would train on an empty window)
+        rows = [r for r in synth_rows(years=5) if r.year != 2004]
+        grid = tiny_grid(years=(2002, 2004), detectors=("mean", "variance"),
+                         strategies=("baseline", "passive", "active"))
+        out = tmp_path / "res.csv"
+        results = drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert not any(r["error"] for r in results)
+        steps: dict[tuple, list] = {}
+        for r in results:
+            steps.setdefault((r["strategy"], r["detector"]), []).append(r["t"])
+        assert steps == {("baseline", "na"): [2002, 2004], ("passive", "na"): [2002],
+                         ("active", "mean"): [2002], ("active", "variance"): [2002]}
+        full = out.read_bytes()
+        calls = []
+        run_stream = runner.run_stream
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["replicate"])
+            return run_stream(*args, **kwargs)
+        monkeypatch.setattr(runner, "run_stream", counting)
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert calls == []
+        assert out.read_bytes() == full
+
+    def test_detection_is_shared_across_classifiers_and_replicates(self, tmp_path,
+                                                                   monkeypatch):
+        from driftlab import drift, stats, strategy
+        calls: dict[str, list] = {name: [] for name in (
+            "decide_drift", "shapiro_wilk", "ks_normality", "mean", "variance")}
+
+        def spy(module, attr, log):
+            real = getattr(module, attr)
+
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, attr, wrapper)
+        spy(strategy, "decide_drift", calls["decide_drift"])
+        for attr in ("shapiro_wilk", "ks_normality"):
+            spy(drift.stats, attr, calls[attr])
+        for attr in ("welch_t", "wilcoxon_rank_sum"):
+            spy(stats, attr, calls["mean"])
+        for attr in ("f_variance", "levene"):
+            spy(stats, attr, calls["variance"])
+
+        rows = synth_rows(years=6)
+        grid = tiny_grid(classifiers=("NB", "RF"), bss=(1, 2), replicates=2,
+                         detectors=("mean", "variance", "mean_variance"),
+                         strategies=("baseline", "passive", "active"))
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
+        assert not any(r["error"] for r in results)
+        assert {(r["classifier"], r["replicate"]) for r in results} == {
+            ("NB", 0), ("RF", 0), ("RF", 1)}
+
+        decisions = [(dd, dh, d_i.size, d_i.end_year, d_j and d_j.end_year)
+                     for dd, dh, d_i, d_j in calls["decide_drift"]]
+        assert len(decisions) == len(set(decisions))
+        detections = {(b, t) for dd, dh, b, t, lagged in decisions
+                      if dh == "active" and lagged is not None}
+        # steps 2003-2005 of each b compare windows ending t and t-1
+        assert detections == {(b, t) for b in (1, 2) for t in (2003, 2004, 2005)}
+        assert sorted(dd for dd, dh, b, t, lagged in decisions
+                      if dh == "active" and lagged is not None) == sorted(
+            ["mean", "variance", "mean_variance"] * len(detections))
+        windows = {(b, t - lag) for b, t in detections for lag in (0, 1)}
+        assert len(calls["shapiro_wilk"]) == len(windows)
+        assert len(calls["ks_normality"]) == len(windows)
+        assert len(calls["mean"]) == len(detections)
+        assert len(calls["variance"]) == len(detections)
+
     def test_manifest_written(self, tmp_path):
         rows = synth_rows(years=4)
         out = tmp_path / "res.csv"
@@ -433,6 +505,11 @@ class TestTopK:
     def test_empty_results(self):
         with pytest.raises(ValueError):
             topk_frequency([], [2])
+
+    @pytest.mark.parametrize("k_range", [[0], [-2], [3, 0]])
+    def test_k_below_one_rejected(self, k_range):
+        with pytest.raises(ValueError, match="k >= 1"):
+            topk_frequency(self._results(), k_range)
 
 
 class TestCorrelate:

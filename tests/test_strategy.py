@@ -5,7 +5,7 @@ from conftest import varied_weekly_rows
 from driftlab.learn import ModelSpec
 from driftlab import learn
 from driftlab.strategy import ModelStore, run_stream
-from driftlab.windowing import partition_by_year
+from driftlab.windowing import partition_by_year, recorded_step_years
 from driftlab import synth
 
 NB = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
@@ -106,6 +106,18 @@ class TestWindows:
         # t=2003 cannot train (empty window), t=2004 proceeds
         assert run.skipped_years == [2003]
         assert [s.t for s in run.steps] == [2004]
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_recorded_steps_follow_the_shared_rule(self, b):
+        rows = []
+        for year in (2004, 2005, 2007, 2009, 2010):
+            rows += varied_weekly_rows(year)
+        stream = partition_by_year(rows, (2003, 2010))
+        cells = [("baseline", "mean"), ("passive", "mean"), ("active", "mean_variance")]
+        for (dh, _), run in zip(cells, run_stream(stream, b, cells, NB)):
+            assert run.error is None
+            assert [s.t for s in run.steps] == recorded_step_years(
+                stream, b, keeps_first_model=dh == "baseline")
 
 
 class TestModelReuse:
