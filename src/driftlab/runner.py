@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import learn, stats
-from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE, STRATEGY_BASELINE, DetectionMemo
+from .drift import DETECTORS, STRATEGIES, STRATEGY_ACTIVE, DetectionMemo, once
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
-from .strategy import ModelStore, StreamRun, run_stream
-from .windowing import partition_by_year, recorded_step_years
+from .strategy import ModelStore, StreamRun, recorded_step_years, run_stream
+from .windowing import partition_by_year
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +81,12 @@ class Cell:
     @property
     def detector_key(self) -> str:
         return self.detector or "na"
+
+    @property
+    def key(self) -> tuple:
+        """The cell's result-key columns: row_key without t."""
+        return (self.airport_key, self.classifier, self.b, self.detector_key, self.strategy,
+                self.replicate)
 
 
 def grid_cells(grid: ExperimentGrid) -> list[Cell]:
@@ -166,12 +172,7 @@ def export_results(rows: list[dict], path: str | Path, fmt: str = "csv") -> Path
 def _step_to_row(cell: Cell, step) -> dict:
     m = step.metrics
     return {
-        "airport": cell.airport_key,
-        "classifier": cell.classifier,
-        "bss": cell.b,
-        "detector": cell.detector_key,
-        "strategy": cell.strategy,
-        "replicate": cell.replicate,
+        **dict(zip(RESULT_COLUMNS, cell.key)),
         "t": step.t,
         "trained": step.trained,
         "drift": step.drift.drift if step.drift is not None else None,
@@ -184,12 +185,8 @@ def _step_to_row(cell: Cell, step) -> dict:
 
 
 def _error_row(cell: Cell, message: str) -> dict:
-    return {"airport": cell.airport_key, "classifier": cell.classifier, "bss": cell.b,
-            "detector": cell.detector_key, "strategy": cell.strategy,
-            "replicate": cell.replicate, "t": -1, "trained": None, "drift": None,
-            "tp": None, "fp": None, "fn": None, "tn": None,
-            "accuracy": None, "precision": None, "recall": None, "f1": None,
-            "error": message}
+    return {**dict.fromkeys(RESULT_COLUMNS), **dict(zip(RESULT_COLUMNS, cell.key)),
+            "t": -1, "error": message}
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +206,10 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     (airport, classifier, b, replicate) share one run_stream pass.
     Completed work is skipped on restart (append-only with keyed dedupe at
     (cell, t, replicate) granularity); a cell is complete once it has a
-    row for each step it records (windowing.recorded_step_years, which
-    leaves out the steps it skips). Because per-cell seeds are
+    row for each step it records (strategy.recorded_step_years). So a cell
+    that records no step writes nothing and is never run, not even to write
+    an error row when its unit fails (say, a grid search over a scale with
+    no flights); a warning names it instead. Because per-cell seeds are
     deterministic, a recomputed partial cell reproduces its already-written
     rows and only missing ones are appended. A restart drops a torn last
     line and raises ValueError when the table's manifest is missing or
@@ -225,8 +224,9 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     only as long as this call.
 
     hyperparameters maps kind -> hyperparameter dict; kinds left out are
-    tuned by k-fold grid search on the first batch of their scale, frozen
-    for every later retrain.
+    tuned once per scale by k-fold grid search on its first non-empty
+    batch (a failed search fails each unit of the kind), frozen for every
+    later retrain.
     """
     out_path = Path(out_path)
     hyperparameters = dict(hyperparameters or {})
@@ -264,7 +264,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
 
     streams: dict[str | None, list] = {}
     memos: dict[str | None, DetectionMemo] = {}
-    specs: dict[tuple[str | None, str], dict] = {}
+    specs: dict = {}  # (airport, kind) -> searched hyperparameters, or the search error
     try:
         for (airport, kind, b), group in itertools.groupby(
                 grid_cells(grid), key=lambda c: (c.airport, c.classifier, c.b)):
@@ -310,13 +310,12 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
 def _cell_done(cell: Cell, stream, year_range: tuple[int, int],
                existing_keys: set[tuple]) -> bool:
     """A cell is done once the table holds its error row (t=-1) or a row for
-    every step it records."""
-    key = (cell.airport_key, cell.classifier, cell.b, cell.detector_key, cell.strategy,
-           cell.replicate)
-    expected = recorded_step_years(stream, cell.b, year_range,
-                                   keeps_first_model=cell.strategy == STRATEGY_BASELINE)
-    return key + (-1,) in existing_keys or (
-        bool(expected) and all(key + (t,) in existing_keys for t in expected))
+    every step it records; one that records no step is done at once."""
+    steps = recorded_step_years(stream, cell.b, cell.strategy, year_range)
+    if not steps:
+        log.warning("%s records no step: not run", cell)
+    return cell.key + (-1,) in existing_keys or all(
+        cell.key + (t,) in existing_keys for t in steps)
 
 
 def _check_resume_manifest(path: Path, manifest: dict) -> None:
@@ -345,17 +344,17 @@ def _cell_hyperparameters(cell: Cell, stream, hyperparameters, specs_cache,
                           cv_folds: int, base_seed: int) -> dict:
     if cell.classifier in hyperparameters:
         return hyperparameters[cell.classifier]
-    cache_key = (cell.airport, cell.classifier)
-    if cache_key not in specs_cache:
+
+    def search() -> dict:
         first_nonempty = next((b for b in stream if not b.is_empty), None)
         if first_nonempty is None:
             raise ValueError("no non-empty batch available for hyperparameter search")
         rows = list(first_nonempty.rows)
         grid = learn.default_grid(cell.classifier, learn.feature_count(rows))
-        spec = learn.grid_search_cv(cell.classifier, grid, rows,
-                                    k=min(cv_folds, max(2, len(rows))), seed=base_seed)
-        specs_cache[cache_key] = spec.hyperparameters
-    return specs_cache[cache_key]
+        return learn.grid_search_cv(cell.classifier, grid, rows,
+                                    k=min(cv_folds, max(2, len(rows))),
+                                    seed=base_seed).hyperparameters
+    return once(specs_cache, (cell.airport, cell.classifier), search)
 
 
 # ---------------------------------------------------------------------------

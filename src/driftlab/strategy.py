@@ -4,13 +4,16 @@ retraining, the window's model is fit once for the cells that train, each
 distinct model predicts the next batch once, and each cell records its
 confusion counts and metrics.
 
+recorded_step_years alone says which steps a cell records: run_stream
+runs those, and the sweep's resume checks a cell against the same list.
+
 Detection is shared through a drift.DetectionMemo: each distinct (strategy,
 detector, window pair) decision is made once per memo, and the windows'
 proportions, normality verdicts and tests behind it once across detectors.
 A sweep passes one memo per stream, so the classifiers and replicates of a
 scale share every decision; a run_stream call without one makes its own.
 
-Training-count bookkeeping is exact by construction: the first evaluable
+Training-count bookkeeping is exact by construction: the first recorded
 step always trains (there is no stored model to reuse, so no detection is
 run), after which baseline never trains again, passive trains every step,
 and active trains exactly when its detector flags drift.
@@ -25,7 +28,7 @@ from pathlib import Path
 
 from . import learn
 from .drift import (DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision, STRATEGIES,
-                    decide_drift, once)
+                    STRATEGY_BASELINE, decide_drift, once)
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
 from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
@@ -39,14 +42,12 @@ class StepResult:
     drift: DriftDecision | None
     confusion: ConfusionCounts
     metrics: Metrics
-    replicate: int
 
 
 @dataclass
 class StreamRun:
     """One cell's run; error is the exception that ended it early, if any."""
     steps: list[StepResult] = field(default_factory=list)
-    skipped_years: list[int] = field(default_factory=list)
     trainings_done: int = 0
     current_model: TrainedModel | None = None
     error: Exception | None = None
@@ -58,6 +59,27 @@ def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]
     return confusion, learn.compute_metrics(confusion)
 
 
+def recorded_step_years(stream: list[Batch], b: int, strategy: str,
+                        year_range: tuple[int, int] | None = None) -> list[int]:
+    """The steps of windowing.step_years at which a cell of this strategy
+    records a row. It skips t when batch t+1 is empty, and when the b-window
+    ending at t is all empty while it would train there: before its first
+    model always, and afterwards unless it is baseline, which keeps its
+    first model (passive retrains at every step, and active's detection
+    fails on an empty window, which retrains)."""
+    years = [batch.year for batch in stream]
+    recorded: list[int] = []
+    for t in step_years(years, b, year_range):
+        pos = years.index(t)
+        if stream[pos + 1].is_empty:
+            continue
+        window_empty = all(batch.is_empty for batch in stream[pos - b + 1:pos + 1])
+        if window_empty and not (strategy == STRATEGY_BASELINE and recorded):
+            continue
+        recorded.append(t)
+    return recorded
+
+
 def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: ModelSpec,
                year_range: tuple[int, int] | None = None,
                alpha: float = 0.05,
@@ -66,35 +88,36 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                store: "ModelStore | None" = None,
                store_airport: str | None = None,
                memo: DetectionMemo | None = None) -> list[StreamRun]:
-    """Run each (strategy, detector) cell over every evaluable step of the
-    stream (windowing.step_years); one StreamRun per cell, in order. An
-    error ends only its cell. A cell skips t (with a log line) on an empty
-    test batch or an all-empty training window where it would train
-    (windowing.recorded_step_years). Decisions come from memo, which must
-    belong to this stream; without one, the call makes its own.
+    """Run each (strategy, detector) cell over the steps its strategy
+    records (recorded_step_years); one StreamRun per cell, in order. Each
+    step of windowing.step_years a strategy skips gets one log line. An
+    error ends only its cell. Decisions come from memo, which must belong
+    to this stream; without one, the call makes its own. replicate keys the
+    models saved to store.
     """
     if any(dh not in STRATEGIES for dh, _ in cells):
         raise ValueError(f"unknown strategy in {cells!r}")
     years = [batch.year for batch in stream]
     if len(years) < b + 1:
         raise WindowUnderflowError(f"stream of {len(years)} batches has no evaluable step for b={b}")
+    recorded = {dh: recorded_step_years(stream, b, dh, year_range) for dh, _ in cells}
+    for dh, steps in recorded.items():
+        for t in (t for t in step_years(years, b, year_range) if t not in steps):
+            log.warning("%s skips t=%d: test batch %d, or the window it would train on, "
+                        "is empty", dh, t, t + 1)
     memo = memo if memo is not None else DetectionMemo()
     runs = [StreamRun() for _ in cells]
-    for t in step_years(years, b, year_range):
+    for t in sorted(set().union(*recorded.values())):
         d_i = batch_sequence(stream, t, b)
         try:
             d_j = batch_sequence(stream, t - 1, b)
         except WindowUnderflowError:
             d_j = None
         test_batch = batch_sequence(stream, t + 1, 1).batches[0]
-        live = [(cell, run) for cell, run in zip(cells, runs) if run.error is None]
-        if test_batch.is_empty:
-            log.warning("step t=%d skipped: test batch %d is empty", t, t + 1)
-            for _, run in live:
-                run.skipped_years.append(t)
-            continue
         shared: dict = {}  # the window's model, and each model's scores by id
-        for (dh, dd), run in live:
+        for (dh, dd), run in zip(cells, runs):
+            if run.error is not None or t not in recorded[dh]:
+                continue
             try:
                 if run.current_model is None:
                     # nothing to reuse: forced training, no detection to run
@@ -105,10 +128,6 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                          min_week_flights),
                         lambda: decide_drift(dd, dh, d_i, d_j, alpha=alpha,
                                              min_week_flights=min_week_flights, memo=memo))
-                if train_flag and d_i.row_count == 0:
-                    log.warning("step t=%d skipped: refusing to train on an all-empty window", t)
-                    run.skipped_years.append(t)
-                    continue
                 if train_flag:
                     run.current_model = once(shared, "model", lambda: learn.train(
                         spec, d_i.rows, training_window=(t, b)))
@@ -119,8 +138,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                 model = run.current_model
                 confusion, metrics = once(shared, id(model), lambda: _score(model, test_batch))
                 run.steps.append(StepResult(t=t, trained=train_flag, drift=decision,
-                                            confusion=confusion, metrics=metrics,
-                                            replicate=replicate))
+                                            confusion=confusion, metrics=metrics))
             except Exception as exc:  # ends this cell only
                 log.exception("%s/%s failed at t=%d", dh, dd, t)
                 run.error = exc

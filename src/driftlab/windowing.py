@@ -1,4 +1,5 @@
-"""Yearly batches and sliding batch-sequence windows over a row stream."""
+"""Yearly batches and sliding batch-sequence windows over a row stream.
+Which evaluable steps (step_years) a cell records is strategy.recorded_step_years."""
 
 from __future__ import annotations
 
@@ -99,28 +100,6 @@ def step_years(years: list[int], b: int,
         return steps
     lo, hi = year_range
     return [t for t in steps if lo <= t <= hi]
-
-
-def recorded_step_years(stream: list[Batch], b: int,
-                        year_range: tuple[int, int] | None = None,
-                        keeps_first_model: bool = False) -> list[int]:
-    """The steps of step_years at which a cell records a row. A cell skips
-    t when batch t+1 is empty, and when the b-window ending at t is all
-    empty while the cell would train there: before its first model always,
-    and afterwards unless it keeps its first model (baseline; passive
-    retrains at every step, and active's detection fails on an empty window,
-    which retrains)."""
-    years = [batch.year for batch in stream]
-    recorded: list[int] = []
-    for t in step_years(years, b, year_range):
-        pos = years.index(t)
-        if stream[pos + 1].is_empty:
-            continue
-        window_empty = all(batch.is_empty for batch in stream[pos - b + 1:pos + 1])
-        if window_empty and not (keeps_first_model and recorded):
-            continue
-        recorded.append(t)
-    return recorded
 
 
 def sliding_window(stream: list[Batch], b: int) -> list[BatchSequence]:

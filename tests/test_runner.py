@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from driftlab import runner, synth
+from driftlab import learn, runner, synth
 from driftlab.runner import (ExperimentGrid, correlate_drifts_performance,
                              count_drifts, drift_analysis, export_results, grid_cells,
                              load_results, row_key, topk_frequency)
+from driftlab.strategy import recorded_step_years
+from driftlab.windowing import partition_by_year
 
 FAST_HP = {
     "NB": {"smoothing": 0.5},
@@ -160,6 +162,43 @@ class TestDriftAnalysis:
         drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
         assert calls == []
         assert out.read_bytes() == full
+
+    def test_cells_without_a_recorded_step_are_never_run(self, tmp_path, monkeypatch,
+                                                          caplog):
+        # no rows in 2003-2005: no cell records a step over 2003-2004
+        rows = [r for r in synth_rows(years=6) if not 2003 <= r.year <= 2005]
+        grid = tiny_grid(years=(2003, 2004), detectors=("mean", "variance"),
+                         strategies=("baseline", "passive", "active"))
+        calls = []
+        run_stream = runner.run_stream
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["replicate"])
+            return run_stream(*args, **kwargs)
+        monkeypatch.setattr(runner, "run_stream", counting)
+        out = tmp_path / "res.csv"
+        with caplog.at_level("WARNING"):
+            assert drift_analysis(rows, grid, out, hyperparameters=FAST_HP) == []
+        assert calls == []
+        assert "records no step" in caplog.text
+        full = out.read_bytes()
+        assert drift_analysis(rows, grid, out, hyperparameters=FAST_HP) == []
+        assert calls == []
+        assert out.read_bytes() == full
+
+    def test_failing_search_runs_once_per_scale_and_classifier(self, tmp_path, monkeypatch):
+        searches = []
+
+        def grid_search_cv(kind, grid, rows, k, seed):
+            searches.append(kind)
+            raise RuntimeError("search failed")
+        monkeypatch.setattr(learn, "grid_search_cv", grid_search_cv)
+        rows = synth_rows(years=5)
+        grid = tiny_grid(years=(2002, 2004), classifiers=("RF",), bss=(1, 2), replicates=2)
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters={})
+        assert searches == ["RF"]
+        assert [(r["bss"], r["replicate"], r["t"], r["error"]) for r in results] == [
+            (b, rep, -1, "RuntimeError: search failed") for b in (1, 2) for rep in (0, 1)]
 
     def test_detection_is_shared_across_classifiers_and_replicates(self, tmp_path,
                                                                    monkeypatch):
@@ -324,11 +363,24 @@ class TestDriftAnalysis:
 
     def test_airport_scale_filters_rows(self, tmp_path):
         rows = synth_rows(years=4)
-        # no SBGR rows in a synthetic stream: every cell errors (no non-empty batch)
         grid = tiny_grid(airports=("SBGR",), years=(2001, 2003), strategies=("passive",))
-        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
-        assert all(r["airport"] == "SBGR" for r in results)
-        assert all(r["error"] for r in results)
+        # no SBGR rows in a synthetic stream: no cell records a step
+        assert drift_analysis(rows, grid, tmp_path / "none.csv", hyperparameters=FAST_HP) == []
+        # a second stream relabelled SBGR, without 2003: passive skips 2002
+        # (empty test batch) and 2003 (empty window)
+        sbgr = [r for r in synth_rows(years=4, seed=1) if r.year != 2003]
+        for row in sbgr:
+            row.origin_airport = "SBGR"
+        results = drift_analysis(rows + sbgr, grid, tmp_path / "res.csv",
+                                 hyperparameters=FAST_HP)
+        assert results
+        assert all(r["airport"] == "SBGR" and not r["error"] for r in results)
+        stream = partition_by_year(sbgr, (2001, 2004))
+        assert [r["t"] for r in results] == recorded_step_years(stream, 1, "passive",
+                                                                (2001, 2003))
+        for r in results:
+            test_batch = stream[r["t"] - 2001 + 1]
+            assert r["tp"] + r["fp"] + r["fn"] + r["tn"] == len(test_batch)
 
     def test_grid_search_used_when_hyperparameters_absent(self, tmp_path):
         rows = synth_rows(years=4, flights=20, weeks=10)

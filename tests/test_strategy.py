@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import varied_weekly_rows
 from driftlab.learn import ModelSpec
 from driftlab import learn
-from driftlab.strategy import ModelStore, run_stream
-from driftlab.windowing import partition_by_year, recorded_step_years
+from driftlab.strategy import ModelStore, recorded_step_years, run_stream
+from driftlab.windowing import partition_by_year
 from driftlab import synth
 
 NB = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
@@ -71,6 +73,12 @@ class TestBookkeeping:
         assert run.steps[0].trained
 
 
+def skipped_years(caplog, strategy):
+    """The steps run_stream logged as skipped for strategy."""
+    found = (re.match(r"(\w+) skips t=(\d+):", r.getMessage()) for r in caplog.records)
+    return [int(m[2]) for m in found if m and m[1] == strategy]
+
+
 class TestWindows:
     def test_b2_first_step_needs_full_window(self):
         run = run_stream(stationary_stream(2003, 2007), 2, [("passive", "mean")], NB)[0]
@@ -86,25 +94,37 @@ class TestWindows:
         with pytest.raises(WindowUnderflowError):
             run_stream(stationary_stream(2003, 2004), 2, [("passive", "mean")], NB)
 
-    def test_empty_test_batch_skipped(self):
+    def test_empty_test_batch_skipped(self, caplog):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004) + varied_weekly_rows(2006)
         stream = partition_by_year(rows, (2003, 2006))
-        run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
-        # t=2004 skipped (test batch 2005 empty); t=2005 skipped too because
-        # passive would have to train on the empty 2005 window
-        assert run.skipped_years == [2004, 2005]
-        assert [s.t for s in run.steps] == [2003]
-        # baseline can still evaluate t=2005: it reuses its stored model
-        baseline = run_stream(stream, 1, [("baseline", "mean")], NB)[0]
-        assert [s.t for s in baseline.steps] == [2003, 2005]
-        assert baseline.skipped_years == [2004]
+        with caplog.at_level("WARNING"):
+            run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
+            # t=2004 skipped (test batch 2005 empty); t=2005 skipped too
+            # because passive would have to train on the empty 2005 window
+            assert skipped_years(caplog, "passive") == [2004, 2005]
+            assert [s.t for s in run.steps] == [2003]
+            # baseline can still evaluate t=2005: it reuses its stored model
+            baseline = run_stream(stream, 1, [("baseline", "mean")], NB)[0]
+            assert [s.t for s in baseline.steps] == [2003, 2005]
+            assert skipped_years(caplog, "baseline") == [2004]
 
-    def test_empty_training_window_skipped(self):
+    def test_one_skip_warning_per_step_and_strategy(self, caplog):
+        rows = varied_weekly_rows(2003) + varied_weekly_rows(2004) + varied_weekly_rows(2006)
+        stream = partition_by_year(rows, (2003, 2006))
+        cells = [("active", "mean"), ("active", "variance"), ("baseline", "mean")]
+        with caplog.at_level("WARNING"):
+            runs = run_stream(stream, 1, cells, NB)
+        assert skipped_years(caplog, "active") == [2004, 2005]
+        assert skipped_years(caplog, "baseline") == [2004]
+        assert [[s.t for s in run.steps] for run in runs] == [[2003], [2003], [2003, 2005]]
+
+    def test_empty_training_window_skipped(self, caplog):
         rows = varied_weekly_rows(2004) + varied_weekly_rows(2005)
         stream = partition_by_year(rows, (2003, 2005))
-        run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
+        with caplog.at_level("WARNING"):
+            run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
         # t=2003 cannot train (empty window), t=2004 proceeds
-        assert run.skipped_years == [2003]
+        assert skipped_years(caplog, "passive") == [2003]
         assert [s.t for s in run.steps] == [2004]
 
     @pytest.mark.parametrize("b", [1, 2])
@@ -116,8 +136,7 @@ class TestWindows:
         cells = [("baseline", "mean"), ("passive", "mean"), ("active", "mean_variance")]
         for (dh, _), run in zip(cells, run_stream(stream, b, cells, NB)):
             assert run.error is None
-            assert [s.t for s in run.steps] == recorded_step_years(
-                stream, b, keeps_first_model=dh == "baseline")
+            assert [s.t for s in run.steps] == recorded_step_years(stream, b, dh)
 
 
 class TestModelReuse:

@@ -55,3 +55,13 @@ def test_traced_sweep_detects_once(tmp_path):
     assert counts["drift.detections"] > 0
     assert counts["drift.detections"] == counts["distinct.detections"]
     assert counts["drift.weekly_proportions_calls"] == counts["distinct.weekly_windows"]
+    # every layer the sweep reaches shows up, so no per-layer metric reads 0
+    # because a wrapped name is no longer called
+    totals = tracer.totals()
+    reached = ["windowing.partition_by_year", "drift.weekly_delay_proportions",
+               "drift.decide_drift", "stats.shapiro_wilk", "stats.ks_normality.cold",
+               "stats.mean_tests", "stats.variance_tests", "learn.train.NB", "learn.train.RF",
+               "learn.predict.NB", "learn.predict.RF", "ingest.fit_normalizer",
+               "ingest.apply_normalizer", "strategy.run_stream"]
+    assert {name: totals.get(name, 0.0) > 0 for name in reached} == dict.fromkeys(reached, True)
+    assert counts["windowing.batch_sequence.calls"] > 0

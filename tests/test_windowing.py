@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import make_row
+from driftlab.strategy import recorded_step_years
 from driftlab.windowing import (Batch, BatchSequence, WindowUnderflowError,
-                                batch_sequence, partition_by_year, recorded_step_years,
-                                sliding_window, step_years)
+                                batch_sequence, partition_by_year, sliding_window, step_years)
 
 
 def stream_for(years):
@@ -107,21 +107,21 @@ class TestStepYears:
 class TestRecordedStepYears:
     def test_full_stream_records_every_step(self):
         stream = stream_for(range(2003, 2008))
-        for keeps in (False, True):
-            assert recorded_step_years(stream, 2, keeps_first_model=keeps) == step_years(
+        for strategy in ("passive", "baseline", "active"):
+            assert recorded_step_years(stream, 2, strategy) == step_years(
                 list(range(2003, 2008)), 2)
 
     def test_empty_year_skips(self):
         # 2005 empty: t=2004 has no test batch; t=2005 has an empty window,
-        # which only a cell that keeps its first model can evaluate
+        # which only baseline, keeping its first model, can evaluate
         rows = [make_row(year=y) for y in (2003, 2004, 2006, 2007) for _ in range(3)]
         stream = partition_by_year(rows, (2003, 2007))
-        assert recorded_step_years(stream, 1) == [2003, 2006]
-        assert recorded_step_years(stream, 1, keeps_first_model=True) == [2003, 2005, 2006]
-        assert recorded_step_years(stream, 2) == [2005, 2006]
-        assert recorded_step_years(stream, 1, (2004, 2006)) == [2006]
+        assert recorded_step_years(stream, 1, "passive") == [2003, 2006]
+        assert recorded_step_years(stream, 1, "baseline") == [2003, 2005, 2006]
+        assert recorded_step_years(stream, 2, "passive") == [2005, 2006]
+        assert recorded_step_years(stream, 1, "passive", (2004, 2006)) == [2006]
 
     def test_no_first_model_from_an_empty_window(self):
         rows = [make_row(year=y) for y in (2005, 2006) for _ in range(3)]
         stream = partition_by_year(rows, (2003, 2006))
-        assert recorded_step_years(stream, 1, keeps_first_model=True) == [2005]
+        assert recorded_step_years(stream, 1, "baseline") == [2005]
