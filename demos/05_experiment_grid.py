@@ -45,5 +45,5 @@ try:
 except ValueError as exc:
     print("\ncorrelate on this small sweep:", exc)
 
-export_results(results, workdir / "export.tsv", fmt="tsv")
-print("exported copy:", workdir / "export.tsv")
+export_results(results, workdir / "export.csv")
+print("exported copy:", workdir / "export.csv")

@@ -9,12 +9,18 @@ nonzero with a message on stderr for any fatal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import ingest, runner, synth
 from .runner import ExperimentGrid
+
+# drift_analysis keywords a run config may set, each with the type it is read as
+_SWEEP_KEYS = {"base_seed": int, "alpha": float, "min_week_flights": int, "cv_folds": int}
+_CONFIG_KEYS = {"rows", "out", "grid", "hyperparameters", "model_store", *_SWEEP_KEYS}
+_GRID_KEYS = {f.name for f in dataclasses.fields(ExperimentGrid)}
 
 
 def _parse_k_range(raw: str) -> list[int]:
@@ -40,28 +46,28 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+def _refuse_unknown(keys, known: set, where: str) -> None:
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 def _cmd_run(args) -> int:
+    """A key left out of the config takes the ExperimentGrid or
+    drift_analysis default; only airports defaults to ["SB"] here."""
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    _refuse_unknown(cfg, _CONFIG_KEYS, "config")
+    grid_cfg = {"airports": ["SB"], **cfg.get("grid", {})}
+    _refuse_unknown(grid_cfg, _GRID_KEYS, "grid")
     rows, _ = ingest.load_rows(cfg["rows"])
-    grid_cfg = cfg.get("grid", {})
-    airports = tuple(None if a in (None, "SB") else a for a in grid_cfg.get("airports", ["SB"]))
-    grid = ExperimentGrid(
-        airports=airports,
-        classifiers=tuple(grid_cfg.get("classifiers", ["NB", "NN", "RF"])),
-        years=tuple(grid_cfg.get("years", [2003, 2017])),
-        bss=tuple(grid_cfg.get("bss", [1, 2, 3])),
-        detectors=tuple(grid_cfg.get("detectors", list(runner.DETECTORS))),
-        strategies=tuple(grid_cfg.get("strategies", list(runner.STRATEGIES))),
-        replicates=int(grid_cfg.get("replicates", 5)),
-    )
+    grid_cfg["airports"] = [None if a in (None, "SB") else a for a in grid_cfg["airports"]]
+    grid = ExperimentGrid(**{key: int(value) if key == "replicates" else tuple(value)
+                             for key, value in grid_cfg.items()})
     results = runner.drift_analysis(
         rows, grid, cfg["out"],
         hyperparameters=cfg.get("hyperparameters"),
-        base_seed=int(cfg.get("base_seed", 1000)),
-        alpha=float(cfg.get("alpha", 0.05)),
-        min_week_flights=int(cfg.get("min_week_flights", 5)),
-        cv_folds=int(cfg.get("cv_folds", 10)),
         model_store_dir=cfg.get("model_store"),
+        **{key: cast(cfg[key]) for key, cast in _SWEEP_KEYS.items() if key in cfg},
     )
     errors = sum(1 for r in results if r["error"])
     print(f"{len(results)} result rows in {cfg['out']} ({errors} error markers)")

@@ -61,7 +61,6 @@ class FlightFeatureRow:
 @dataclass(frozen=True)
 class PreprocessConfig:
     airport_filter: str | None = None
-    top_airports: tuple[str, ...] = TOP_AIRPORTS
     delay_threshold_minutes: int = 15
     max_delay_hours: int = 24
 
@@ -70,8 +69,8 @@ class PreprocessConfig:
             raise ValueError("delay_threshold_minutes must be positive")
         if self.max_delay_hours * 60 <= self.delay_threshold_minutes:
             raise ValueError("max_delay_hours must exceed the delay threshold")
-        if self.airport_filter is not None and self.airport_filter not in self.top_airports:
-            raise ValueError(f"airport_filter {self.airport_filter!r} not in top_airports")
+        if self.airport_filter is not None and self.airport_filter not in TOP_AIRPORTS:
+            raise ValueError(f"airport_filter {self.airport_filter!r} is not one of TOP_AIRPORTS")
 
 
 @dataclass
@@ -206,7 +205,7 @@ def _filter_record(record: RawFlightRecord, cfg: PreprocessConfig,
     filtering only; idempotent on survivors."""
     if record.flight_kind != "domestic":
         return "not_domestic"
-    if record.origin_airport not in cfg.top_airports:
+    if record.origin_airport not in TOP_AIRPORTS:
         return "origin_not_top_airport"
     if cfg.airport_filter is not None and record.origin_airport != cfg.airport_filter:
         return "airport_filter"

@@ -45,6 +45,14 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
+# kind -> (required, optional) hyperparameters: exactly the keys train reads.
+_HYPERPARAMETERS = {
+    KIND_NB: (("smoothing",), ()),
+    KIND_RF: (("trees_count", "predictors_per_split"), ("max_depth",)),
+    KIND_MLP: (("hidden_neurons", "learning_rate", "epochs"), ("batch_size",)),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
@@ -53,14 +61,13 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))
-        required = {
-            KIND_NB: ("smoothing",),
-            KIND_RF: ("trees_count", "predictors_per_split"),
-            KIND_MLP: ("hidden_neurons", "learning_rate", "epochs"),
-        }[self.kind]
+        required, optional = _HYPERPARAMETERS[self.kind]
         missing = [k for k in required if k not in self.hyperparameters]
         if missing:
             raise ValueError(f"{self.kind} spec is missing hyperparameters: {missing}")
+        unknown = sorted(set(self.hyperparameters) - set(required) - set(optional))
+        if unknown:
+            raise ValueError(f"{self.kind} spec has hyperparameters it does not read: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -230,10 +237,9 @@ class DecisionTree:
     categorical subset splits via the positive-rate ordering trick."""
 
     def __init__(self, predictors_per_split: int, rng: np.random.Generator,
-                 min_samples_split: int = 2, max_depth: int | None = None):
+                 max_depth: int | None = None):
         self.mtry = predictors_per_split
         self.rng = rng
-        self.min_samples_split = min_samples_split
         self.max_depth = max_depth
         self.root: dict | None = None
 
@@ -253,8 +259,7 @@ class DecisionTree:
     def _grow(self, numeric, codes, y, depth) -> dict:
         n = y.size
         pos = int(y.sum())
-        if pos == 0 or pos == n or n < self.min_samples_split or \
-                (self.max_depth is not None and depth >= self.max_depth):
+        if pos == 0 or pos == n or (self.max_depth is not None and depth >= self.max_depth):
             return self._leaf(y)
         n_features = self.n_numeric + codes.shape[1]
         features = self.rng.choice(n_features, size=self.mtry, replace=False)
@@ -341,14 +346,14 @@ class DecisionTree:
 
 
 class RandomForest:
+    """Trees grown on bootstrap draws: tree t draws its sample and then one
+    predictor subset per splittable node from default_rng([seed, t])."""
+
     def __init__(self, trees_count: int, predictors_per_split: int, seed: int,
-                 bootstrap: bool = True, min_samples_split: int = 2,
                  max_depth: int | None = None):
         self.trees_count = trees_count
         self.mtry = predictors_per_split
         self.seed = seed
-        self.bootstrap = bootstrap
-        self.min_samples_split = min_samples_split
         self.max_depth = max_depth
         self.trees: list[DecisionTree] = []
 
@@ -357,8 +362,8 @@ class RandomForest:
         n = y.size
         for t in range(self.trees_count):
             rng = np.random.default_rng([self.seed, t])
-            idx = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTree(self.mtry, rng, self.min_samples_split, self.max_depth)
+            idx = rng.integers(0, n, size=n)
+            tree = DecisionTree(self.mtry, rng, self.max_depth)
             tree.fit(numeric[idx], codes[idx], y[idx])
             self.trees.append(tree)
         return self
@@ -516,8 +521,6 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
             trees_count=int(hp["trees_count"]),
             predictors_per_split=int(hp["predictors_per_split"]),
             seed=spec.seed,
-            bootstrap=bool(hp.get("bootstrap", True)),
-            min_samples_split=int(hp.get("min_samples_split", 2)),
             max_depth=hp.get("max_depth"),
         ).fit(numeric, codes, y)
     else:
@@ -631,9 +634,10 @@ def model_to_dict(model: TrainedModel) -> dict:
         payload = {
             "trees": [t.root for t in clf.trees],
             "n_numeric": clf.trees[0].n_numeric if clf.trees else 0,
+            # fixed: every tree bootstraps, and any impure node may split
             "params": {"trees_count": clf.trees_count, "predictors_per_split": clf.mtry,
-                       "seed": clf.seed, "bootstrap": clf.bootstrap,
-                       "min_samples_split": clf.min_samples_split, "max_depth": clf.max_depth},
+                       "seed": clf.seed, "bootstrap": True,
+                       "min_samples_split": 2, "max_depth": clf.max_depth},
         }
     else:
         payload = {
@@ -681,9 +685,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
         params = payload["params"]
         clf = RandomForest(trees_count=params["trees_count"],
                            predictors_per_split=params["predictors_per_split"],
-                           seed=params["seed"], bootstrap=params["bootstrap"],
-                           min_samples_split=params["min_samples_split"],
-                           max_depth=params["max_depth"])
+                           seed=params["seed"], max_depth=params["max_depth"])
         clf.trees = []
         for root in payload["trees"]:
             tree = DecisionTree(params["predictors_per_split"], np.random.default_rng(0))

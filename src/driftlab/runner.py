@@ -154,15 +154,12 @@ def load_results(path: str | Path) -> list[dict]:
     return rows
 
 
-def export_results(rows: list[dict], path: str | Path, fmt: str = "csv") -> Path:
-    """Write the table with the canonical column order; loading the file
-    reproduces the rows exactly."""
-    if fmt not in ("csv", "tsv"):
-        raise ValueError(f"unknown export format {fmt!r}")
+def export_results(rows: list[dict], path: str | Path) -> Path:
+    """Write the table as csv with the canonical column order; loading the
+    file reproduces the rows exactly."""
     path = Path(path)
-    delim = "," if fmt == "csv" else "\t"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delim)
+        writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
             writer.writerow([_format_value(col, row.get(col)) for col in RESULT_COLUMNS])
@@ -223,13 +220,21 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     for all the classifiers and replicates of the scale. The memos live
     only as long as this call.
 
-    hyperparameters maps kind -> hyperparameter dict; kinds left out are
-    tuned once per scale by k-fold grid search on its first non-empty
-    batch (a failed search fails each unit of the kind), frozen for every
-    later retrain.
+    hyperparameters maps kind (or an alias such as NN) -> hyperparameter
+    dict; a kind that is unknown or given twice, or a dict that ModelSpec
+    refuses, raises ValueError before anything is written. The manifest
+    records the dicts under their canonical kinds. Kinds left out are tuned
+    once per scale by k-fold grid search on its first non-empty batch (a
+    failed search fails each unit of the kind), frozen for every later
+    retrain.
     """
     out_path = Path(out_path)
-    hyperparameters = dict(hyperparameters or {})
+    given, hyperparameters = hyperparameters or {}, {}
+    for kind, hp in given.items():
+        kind = ModelSpec(kind=kind, hyperparameters=hp).kind
+        if kind in hyperparameters:
+            raise ValueError(f"hyperparameters name {kind} twice: {sorted(given)}")
+        hyperparameters[kind] = hp
     manifest_path = Path(str(out_path) + ".manifest.json")
     manifest = {
         "version": RESULTS_VERSION,

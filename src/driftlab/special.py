@@ -161,12 +161,6 @@ def t_sf_two_sided(t: float, df: float) -> float:
     return betainc(df / 2.0, 0.5, x)
 
 
-def t_cdf(t: float, df: float) -> float:
-    """Student-t CDF P(T_df <= t)."""
-    p_two = t_sf_two_sided(t, df)
-    return 1.0 - 0.5 * p_two if t >= 0.0 else 0.5 * p_two
-
-
 def f_cdf(f: float, d1: float, d2: float) -> float:
     """F distribution CDF P(F_{d1,d2} <= f)."""
     if d1 <= 0.0 or d2 <= 0.0:

@@ -8,9 +8,9 @@ Conventions, fixed here and relied on by the tests:
   (the statistic is one-sided by construction);
 * two-sided tail doubling is ``min(1, 2 * min(lower, upper))``;
 * Wilcoxon uses the exact rank-sum distribution (mid-rank ties handled by a
-  subset-sum count over doubled ranks) while both samples have at most
-  ``exact_threshold`` = 20 points, and the tie-corrected, continuity-corrected
-  normal approximation beyond that;
+  subset-sum count over doubled ranks) while both samples have at most 20
+  points, and the tie-corrected, continuity-corrected normal approximation
+  beyond that;
 * the Lilliefors p-value comes from a seeded Monte-Carlo null table per
   sample size (200k replicates by default, memoized), the same construction
   behind the published Lilliefors tables;
@@ -41,6 +41,7 @@ LEVENE = "levene"
 
 _LILLIEFORS_SEED = 1967
 _LILLIEFORS_REPLICATES = 200_000
+_WILCOXON_EXACT_MAX_N = 20
 
 
 class DegenerateSampleError(ValueError):
@@ -199,35 +200,32 @@ def _lilliefors_null_table(n: int, replicates: int, seed: int) -> np.ndarray:
 
 
 def ks_normality(sample, alpha: float = DEFAULT_ALPHA,
-                 mc_replicates: int = _LILLIEFORS_REPLICATES,
-                 mc_seed: int = _LILLIEFORS_SEED) -> TestResult:
+                 mc_replicates: int = _LILLIEFORS_REPLICATES) -> TestResult:
     """One-sample KS test against a normal with sample mean/sd (Lilliefors).
 
     Because the reference parameters are estimated from the data, the plain
     KS null distribution does not apply; the p-value is read off a seeded
     Monte-Carlo null table for this sample size, p = (#{D* >= D} + 1)/(R + 1).
-    Deterministic for fixed (mc_replicates, mc_seed).
+    Deterministic for fixed mc_replicates.
     """
     x = _as_sample(sample, "ks_normality", 4)
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DegenerateSampleError("degenerate sample: zero variance")
     d = _lilliefors_statistic(xs)
-    table = _lilliefors_null_table(xs.size, mc_replicates, mc_seed)
+    table = _lilliefors_null_table(xs.size, mc_replicates, _LILLIEFORS_SEED)
     count_ge = table.size - np.searchsorted(table, d, side="left")
     p = (count_ge + 1.0) / (table.size + 1.0)
     return _result(KS_NORMALITY, d, p, alpha)
 
 
 # ---------------------------------------------------------------------------
-# Welch / pooled t-test
+# Welch t-test
 # ---------------------------------------------------------------------------
 
-def welch_t(a, b, alpha: float = DEFAULT_ALPHA, pooled: bool = False) -> TestResult:
-    """Two-sided two-sample t-test on means.
+def welch_t(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    """Two-sided Welch t-test on means (unequal variances, Welch-Satterthwaite df).
 
-    Welch's unequal-variance form with Welch-Satterthwaite df by default;
-    ``pooled=True`` switches to the classic equal-variance Student form.
     Degenerate inputs follow fixed conventions: two equal constant samples
     give statistic 0 / p 1, two unequal constant samples give p -> 0.
     """
@@ -242,14 +240,9 @@ def welch_t(a, b, alpha: float = DEFAULT_ALPHA, pooled: bool = False) -> TestRes
             return _result(WELCH_T, 0.0, 1.0, alpha)
         log.warning("welch_t: both samples constant with unequal means; using p -> 0 convention")
         return _result(WELCH_T, math.copysign(math.inf, diff), 0.0, alpha)
-    if pooled:
-        sp2 = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-        se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-        df = float(na + nb - 2)
-    else:
-        se = math.sqrt(va / na + vb / nb)
-        df = (va / na + vb / nb) ** 2 / (
-            (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    se = math.sqrt(va / na + vb / nb)
+    df = (va / na + vb / nb) ** 2 / (
+        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     t = diff / se
     return _result(WELCH_T, t, t_sf_two_sided(t, df), alpha)
 
@@ -293,11 +286,11 @@ def _exact_ranksum_tails(doubled: np.ndarray, na: int, w_doubled: int) -> tuple[
     return float(p_le), float(p_ge)
 
 
-def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA, exact_threshold: int = 20) -> TestResult:
+def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     """Two-sided Wilcoxon rank-sum test with mid-rank tie handling.
 
-    Exact null distribution while both samples have <= exact_threshold
-    points; tie- and continuity-corrected normal approximation otherwise.
+    Exact null distribution while both samples have <= 20 points; tie- and
+    continuity-corrected normal approximation otherwise.
     Two-sided p = min(1, 2 * min(lower tail, upper tail)).
     """
     xa = _as_sample(a, "wilcoxon_rank_sum", 1)
@@ -312,7 +305,7 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA, exact_threshold: int =
     ranks = _midranks(pooled)
     w = float(ranks[:na].sum())
 
-    if max(na, nb) <= exact_threshold:
+    if max(na, nb) <= _WILCOXON_EXACT_MAX_N:
         doubled = np.rint(2.0 * ranks).astype(np.int64)
         w_doubled = int(round(2.0 * w))
         p_le, p_ge = _exact_ranksum_tails(doubled, na, w_doubled)
@@ -349,20 +342,16 @@ def f_variance(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     return _result(F_VARIANCE, f, p, alpha)
 
 
-def levene(a, b, alpha: float = DEFAULT_ALPHA, center: str = "mean") -> TestResult:
-    """Levene test for equal variances on two groups.
+def levene(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+    """Mean-centred Levene test for equal variances on two groups.
 
-    Classic (mean-centered) deviation scores by default; ``center="median"``
-    gives the Brown-Forsythe variant for sensitivity runs. The statistic is
-    the one-way ANOVA F on |x - center| scores, upper F(1, N-2) tail.
+    The statistic is the one-way ANOVA F on |x - mean| scores, upper
+    F(1, N-2) tail.
     """
-    if center not in ("mean", "median"):
-        raise ValueError(f"unknown Levene centering {center!r}")
     xa = _as_sample(a, "levene", 3)
     xb = _as_sample(b, "levene", 3)
-    centers = (np.mean, np.median)[center == "median"]
-    za = np.abs(xa - centers(xa))
-    zb = np.abs(xb - centers(xb))
+    za = np.abs(xa - np.mean(xa))
+    zb = np.abs(xb - np.mean(xb))
     na, nb = za.size, zb.size
     n = na + nb
     zbar = (za.sum() + zb.sum()) / n
@@ -382,7 +371,7 @@ def levene(a, b, alpha: float = DEFAULT_ALPHA, center: str = "mean") -> TestResu
 # Pearson correlation
 # ---------------------------------------------------------------------------
 
-def pearson_correlation(x, y, alpha: float = DEFAULT_ALPHA) -> CorrelationResult:
+def pearson_correlation(x, y) -> CorrelationResult:
     """Pearson r with a two-sided p-value from the t transform."""
     xv = _as_sample(x, "pearson_correlation", 3)
     yv = _as_sample(y, "pearson_correlation", 3)

@@ -53,10 +53,6 @@ class BatchSequence:
     def rows(self) -> list:
         return list(chain.from_iterable(b.rows for b in self.batches))
 
-    @property
-    def row_count(self) -> int:
-        return sum(len(b) for b in self.batches)
-
 
 def partition_by_year(rows, year_range: tuple[int, int]) -> list[Batch]:
     """One batch per year in [first, last], ascending; empty years are kept
@@ -100,11 +96,3 @@ def step_years(years: list[int], b: int,
         return steps
     lo, hi = year_range
     return [t for t in steps if lo <= t <= hi]
-
-
-def sliding_window(stream: list[Batch], b: int) -> list[BatchSequence]:
-    """All batch sequences of size b, in order: n - b + 1 windows."""
-    n = len(stream)
-    if n < b:
-        raise WindowUnderflowError(f"stream of {n} batches cannot hold windows of size {b}")
-    return [batch_sequence(stream, stream[j + b - 1].year, b) for j in range(n - b + 1)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from driftlab import ingest, synth
+from driftlab import ingest, runner, synth
 from driftlab.cli import main
 
 
@@ -141,3 +141,38 @@ class TestRunAndAnalyze:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "cannot resume" in capsys.readouterr().err
         assert results_path.read_bytes() == content
+
+    def test_run_refuses_unknown_config_keys(self, tmp_path, synth_spec_file, capsys):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        for config, named in [
+            ({"grid": {"classifiers": ["NB"], "replicate": 2}}, "unknown grid keys: replicate"),
+            ({"grid": {"classifiers": ["NB"]}, "alhpa": 0.1, "seed": 3},
+             "unknown config keys: alhpa, seed"),
+        ]:
+            cfg_path.write_text(json.dumps({"rows": str(rows_path), "out": str(out), **config}))
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path)]) == 1
+            assert named in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_run_leaves_defaults_to_the_library(self, tmp_path, synth_spec_file):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "rows": str(rows_path), "out": str(out),
+            "grid": {"classifiers": ["NB"], "years": [2002, 2004], "bss": [1],
+                     "strategies": ["passive"]},
+            "hyperparameters": {"NB": {"smoothing": 0.5}}}))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((tmp_path / "results.csv.manifest.json").read_text())
+        defaults = runner.ExperimentGrid()
+        assert manifest["grid"]["airports"] == ["SB"]
+        assert manifest["grid"]["replicates"] == defaults.replicates
+        assert manifest["grid"]["detectors"] == list(defaults.detectors)
+        assert (manifest["base_seed"], manifest["alpha"], manifest["min_week_flights"],
+                manifest["cv_folds"]) == (1000, 0.05, 5, 10)

@@ -27,6 +27,27 @@ class TestKinds:
         with pytest.raises(ValueError, match="smoothing"):
             ModelSpec(kind="NB", hyperparameters={})
 
+    @pytest.mark.parametrize("kind, hp, unread", [
+        ("NB", {"smoothing": 0.5, "alpha": 1.0}, "alpha"),
+        ("RF", {"trees_count": 3, "predictors_per_split": 2, "bootstrap": False}, "bootstrap"),
+        ("RF", {"trees_count": 3, "predictors_per_split": 2, "min_samples_split": 4},
+         "min_samples_split"),
+        ("RF", {"trees_count": 3, "predictors_per_split": 2, "max_depht": 6}, "max_depht"),
+        ("NN", {"hidden_neurons": 4, "learning_rate": 0.1, "epochs": 2, "batch": 8}, "batch"),
+    ])
+    def test_unread_hyperparameters_refused(self, kind, hp, unread):
+        with pytest.raises(ValueError, match=f"does not read.*{unread}"):
+            ModelSpec(kind=kind, hyperparameters=hp)
+
+    def test_every_read_hyperparameter_accepted(self):
+        ModelSpec(kind="RF", hyperparameters={"trees_count": 3, "predictors_per_split": 2,
+                                              "max_depth": 6})
+        ModelSpec(kind="MLP", hyperparameters={"hidden_neurons": 4, "learning_rate": 0.5,
+                                               "epochs": 6, "batch_size": 64})
+        for kind in ("NB", "RF", "MLP"):
+            for hp in default_grid(kind, 6):
+                ModelSpec(kind=kind, hyperparameters=hp)
+
 
 class TestNaiveBayes:
     def test_separable_toy_accuracy(self, toy_separable_rows):
@@ -93,14 +114,15 @@ class TestNaiveBayes:
 class TestRandomForest:
     def test_degenerate_ensemble_equals_single_tree(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=4,
-                         hyperparameters={"trees_count": 1, "predictors_per_split": 5,
-                                          "bootstrap": False})
+                         hyperparameters={"trees_count": 1, "predictors_per_split": 5})
         model = train(spec, toy_separable_rows)
         raw, cats, y = _extract(toy_separable_rows)
         numeric = apply_normalizer(fit_normalizer(raw), raw)
         vocabs = _build_vocabs(cats)
         codes = _encode(cats, vocabs)
-        tree = DecisionTree(5, np.random.default_rng([4, 0])).fit(numeric, codes, y)
+        rng = np.random.default_rng([4, 0])
+        idx = rng.integers(0, y.size, size=y.size)  # tree 0's bootstrap draw
+        tree = DecisionTree(5, rng).fit(numeric[idx], codes[idx], y[idx])
         assert np.array_equal(predict(model, toy_separable_rows),
                               tree.predict(numeric, codes))
 
@@ -125,12 +147,22 @@ class TestRandomForest:
         model = train(spec, toy_separable_rows)
         assert np.mean(predict(model, toy_separable_rows) == labels(toy_separable_rows)) >= 0.95
 
-    def test_unseen_level_routes_to_majority_child(self, toy_separable_rows):
+    def test_unseen_level_routes_to_majority_child(self):
+        # only the destination state varies, so the root splits on it
+        rows = ([make_row(delayed=1, state="AA") for _ in range(8)]
+                + [make_row(delayed=0, state="BB") for _ in range(4)])
         spec = ModelSpec(kind="RF", seed=0,
-                         hyperparameters={"trees_count": 5, "predictors_per_split": 5})
-        model = train(spec, toy_separable_rows)
-        unseen = [make_row(delayed=0, state="ZZZ", week=49, features=(0.1, 0.1))]
-        assert predict(model, unseen).shape == (1,)
+                         hyperparameters={"trees_count": 1, "predictors_per_split": 5})
+        model = train(spec, rows)
+        root = model.classifier.trees[0].root
+        assert (root["kind"], root["feature"]) == ("cat", 1)
+        minority = "right" if root["majority"] == "left" else "left"
+        state_of = {code: state for state, code in model.vocabs[1].items()}
+        majority_state = state_of[root[root["majority"] + "_levels"][0]]
+        minority_state = state_of[root[minority + "_levels"][0]]
+        preds = predict(model, [make_row(state=s) for s in (majority_state, minority_state, "ZZZ")])
+        assert preds[0] != preds[1]
+        assert preds[2] == preds[0]
 
     def test_mtry_exceeding_features_rejected(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=0,

@@ -200,6 +200,39 @@ class TestDriftAnalysis:
         assert [(r["bss"], r["replicate"], r["t"], r["error"]) for r in results] == [
             (b, rep, -1, "RuntimeError: search failed") for b in (1, 2) for rep in (0, 1)]
 
+    def test_alias_keyed_hyperparameters_are_used(self, tmp_path, monkeypatch):
+        searches, specs = [], []
+        monkeypatch.setattr(learn, "grid_search_cv",
+                            lambda kind, *args, **kwargs: searches.append(kind))
+        run_stream = runner.run_stream
+
+        def spying(stream, b, cells, spec, **kwargs):
+            specs.append(spec)
+            return run_stream(stream, b, cells, spec, **kwargs)
+        monkeypatch.setattr(runner, "run_stream", spying)
+        rows = synth_rows(years=4)
+        out = tmp_path / "res.csv"
+        grid = tiny_grid(years=(2001, 2003), classifiers=("NN",), replicates=1)
+        results = drift_analysis(rows, grid, out, hyperparameters={"NN": FAST_HP["MLP"]})
+        assert searches == []
+        assert results and not any(r["error"] for r in results)
+        assert [(s.kind, s.hyperparameters) for s in specs] == [("MLP", FAST_HP["MLP"])]
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        assert manifest["hyperparameters"] == {"MLP": FAST_HP["MLP"]}
+
+    @pytest.mark.parametrize("hyperparameters, message", [
+        ({"SVM": {"C": 1.0}}, "unknown classifier kind"),
+        ({"NN": FAST_HP["MLP"], "MLP": FAST_HP["MLP"]}, "name MLP twice"),
+        ({"RF": {**FAST_HP["RF"], "bootstrap": False}}, "does not read.*bootstrap"),
+    ])
+    def test_bad_hyperparameters_refused_before_writing(self, tmp_path, hyperparameters,
+                                                        message):
+        out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match=message):
+            drift_analysis(synth_rows(years=4), tiny_grid(years=(2001, 2003)), out,
+                           hyperparameters=hyperparameters)
+        assert not out.exists()
+
     def test_detection_is_shared_across_classifiers_and_replicates(self, tmp_path,
                                                                    monkeypatch):
         from driftlab import drift, stats, strategy
@@ -416,14 +449,6 @@ class TestExport:
         out = tmp_path / "three.csv"
         export_results(results, out)
         assert len(out.read_text().splitlines()) == 4
-
-    def test_tsv(self, tmp_path):
-        results = self._rows(tmp_path)[:2]
-        out = tmp_path / "t.tsv"
-        export_results(results, out, fmt="tsv")
-        assert "\t" in out.read_text().splitlines()[0]
-        with pytest.raises(ValueError):
-            export_results(results, out, fmt="xlsx")
 
 
 def fake_row(airport="SB", classifier="NB", bss=1, detector="mean", strategy="active",

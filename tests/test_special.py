@@ -44,7 +44,6 @@ def test_t_distribution_against_scipy():
     for _ in range(100):
         t = float(rng.normal(scale=3.0))
         df = float(rng.uniform(1.0, 200.0))
-        assert special.t_cdf(t, df) == pytest.approx(ss.t.cdf(t, df), abs=1e-12)
         assert special.t_sf_two_sided(t, df) == pytest.approx(2 * ss.t.sf(abs(t), df), abs=1e-12)
     assert special.t_sf_two_sided(0.0, 10) == 1.0
 

@@ -113,12 +113,6 @@ class TestWelchT:
         a, b = rng.normal(size=15), rng.normal(0.3, 1.4, size=22)
         assert welch_t(a, b).p_value == pytest.approx(welch_t(b, a).p_value, abs=1e-14)
 
-    def test_pooled_flag(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.normal(size=12), rng.normal(size=17)
-        ref = ss.ttest_ind(a, b, equal_var=True)
-        assert welch_t(a, b, pooled=True).p_value == pytest.approx(ref.pvalue, abs=1e-12)
-
 
 class TestWilcoxon:
     def test_identical_samples(self):
@@ -237,9 +231,6 @@ class TestLevene:
         res = levene(a, b)
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-10)
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-10)
-        ref_bf = ss.levene(a, b, center="median")
-        res_bf = levene(a, b, center="median")
-        assert res_bf.p_value == pytest.approx(ref_bf.pvalue, abs=1e-10)
 
     def test_degenerate_all_deviations_zero(self):
         res = levene([1.0, 1.0, 1.0], [5.0, 5.0, 5.0])

@@ -3,7 +3,7 @@ import pytest
 from conftest import make_row
 from driftlab.strategy import recorded_step_years
 from driftlab.windowing import (Batch, BatchSequence, WindowUnderflowError,
-                                batch_sequence, partition_by_year, sliding_window, step_years)
+                                batch_sequence, partition_by_year, step_years)
 
 
 def stream_for(years):
@@ -60,35 +60,12 @@ class TestBatchSequence:
         seq = batch_sequence(stream, 2005, 3)
         expected = [r for b in stream[:3] for r in b.rows]
         assert seq.rows == expected
-        assert seq.row_count == len(expected)
 
     def test_non_consecutive_batches_rejected(self):
         b1 = Batch(index=0, year=2003, rows=())
         b2 = Batch(index=1, year=2005, rows=())
         with pytest.raises(ValueError):
             BatchSequence(end_index=1, size=2, batches=(b1, b2))
-
-
-class TestSlidingWindow:
-    def test_counts(self):
-        stream = stream_for(range(2003, 2018))  # 15 batches
-        assert len(sliding_window(stream, 3)) == 13
-        assert len(sliding_window(stream, 1)) == 15
-
-    def test_b_equal_one_reconstructs_stream(self):
-        stream = stream_for(range(2003, 2010))
-        windows = sliding_window(stream, 1)
-        assert [w.batches[0] for w in windows] == stream
-
-    def test_underflow(self):
-        stream = stream_for(range(2003, 2005))
-        with pytest.raises(WindowUnderflowError):
-            sliding_window(stream, 3)
-
-    def test_rows_match_batch_sequence(self):
-        stream = stream_for(range(2003, 2010))
-        for i, window in enumerate(sliding_window(stream, 2)):
-            assert window.rows == batch_sequence(stream, stream[i + 1].year, 2).rows
 
 
 class TestStepYears:
