@@ -5,8 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from driftlab.ingest import (PreprocessConfig, apply_normalizer, fit_normalizer,
-                             load_flights, preprocess)
+from driftlab.ingest import apply_normalizer, fit_normalizer, load_flights, preprocess
 
 # A tiny raw file in the expected layout: fixed columns plus wx_* weather.
 csv_text = """flight_id,origin,destination,scheduled_departure,actual_departure,kind,wx_temp,wx_wind
@@ -29,7 +28,7 @@ for lineno, reason in loaded.malformed:
 # Filtering and labeling: domestic + top airports, delay >= 15 min -> 1,
 # missing/26h departures excluded, destination mapped to its state,
 # ISO (year, week) attached.
-result = preprocess(loaded.records, PreprocessConfig())
+result = preprocess(loaded.records)
 print(f"\nkept {len(result.rows)} rows; excluded: {dict(result.excluded)}")
 print("feature vector:", result.feature_names)
 for row in result.rows:

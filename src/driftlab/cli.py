@@ -31,11 +31,10 @@ def _parse_k_range(raw: str) -> list[int]:
 
 
 def _cmd_preprocess(args) -> int:
-    cfg = ingest.PreprocessConfig(
-        airport_filter=None if args.airport.upper() == "SB" else args.airport.upper())
+    airport = None if args.airport.upper() == "SB" else args.airport.upper()
     states = ingest.load_airport_states(args.states) if args.states else None
     loaded = ingest.load_flights(args.raw_csv)
-    result = ingest.preprocess(loaded.records, cfg, airport_states=states)
+    result = ingest.preprocess(loaded.records, airport, airport_states=states)
     ingest.save_rows(result.rows, result.feature_names, args.output)
     print(f"{len(loaded.records)} records loaded, {loaded.malformed_count} malformed lines")
     for lineno, reason in loaded.malformed[:10]:

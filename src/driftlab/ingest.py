@@ -34,6 +34,9 @@ FLIGHT_KINDS = ("domestic", "international")
 # Schedule-derived numeric features, prepended before the wx_ columns.
 SCHEDULE_FEATURES = ("sched_hour", "sched_weekday", "sched_month")
 
+DELAY_THRESHOLD_MINUTES = 15  # a flight departing this late or later is delayed
+MAX_DELAY_HOURS = 24  # longer delays are treated as bad records and excluded
+
 
 @dataclass
 class RawFlightRecord:
@@ -56,21 +59,6 @@ class FlightFeatureRow:
     year: int
     numeric_features: np.ndarray
     delayed: int
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    airport_filter: str | None = None
-    delay_threshold_minutes: int = 15
-    max_delay_hours: int = 24
-
-    def __post_init__(self):
-        if self.delay_threshold_minutes <= 0:
-            raise ValueError("delay_threshold_minutes must be positive")
-        if self.max_delay_hours * 60 <= self.delay_threshold_minutes:
-            raise ValueError("max_delay_hours must exceed the delay threshold")
-        if self.airport_filter is not None and self.airport_filter not in TOP_AIRPORTS:
-            raise ValueError(f"airport_filter {self.airport_filter!r} is not one of TOP_AIRPORTS")
 
 
 @dataclass
@@ -199,35 +187,38 @@ def load_flights(path: str | Path) -> LoadResult:
     return LoadResult(records=records, malformed=malformed)
 
 
-def _filter_record(record: RawFlightRecord, cfg: PreprocessConfig,
-                   states: dict[str, str]) -> str | None:
-    """Reason to exclude the record, or None if it is kept. Label-independent
-    filtering only; idempotent on survivors."""
+def _filter_record(record: RawFlightRecord, delay_min: float | None,
+                   airport_filter: str | None, states: dict[str, str]) -> str | None:
+    """Reason to exclude the record, whose departure delay is delay_min
+    (None without an actual departure), or None if it is kept.
+    Label-independent filtering only; idempotent on survivors."""
     if record.flight_kind != "domestic":
         return "not_domestic"
     if record.origin_airport not in TOP_AIRPORTS:
         return "origin_not_top_airport"
-    if cfg.airport_filter is not None and record.origin_airport != cfg.airport_filter:
+    if airport_filter is not None and record.origin_airport != airport_filter:
         return "airport_filter"
-    if record.actual_departure is None:
+    if delay_min is None:
         return "missing_actual_departure"
-    delay_min = (record.actual_departure - record.scheduled_departure).total_seconds() / 60.0
-    if delay_min > cfg.max_delay_hours * 60:
+    if delay_min > MAX_DELAY_HOURS * 60:
         return "delay_above_max"
     if record.destination_airport not in states:
         return "unknown_destination_state"
     return None
 
 
-def preprocess(records, cfg: PreprocessConfig,
+def preprocess(records, airport_filter: str | None = None,
                airport_states: dict[str, str] | None = None) -> PreprocessResult:
     """Filter raw records and build feature rows.
 
-    Keeps domestic flights from the configured airports with a usable
-    departure delay (present and <= max_delay_hours); labels delayed when the
-    delay reaches delay_threshold_minutes. Year and week come from the ISO
-    calendar so a (year, week) cell never straddles a year boundary.
+    Keeps domestic flights from the top airports (only airport_filter's,
+    when given) with a usable departure delay (present and <=
+    MAX_DELAY_HOURS); labels delayed when the delay reaches
+    DELAY_THRESHOLD_MINUTES. Year and week come from the ISO calendar so a
+    (year, week) cell never straddles a year boundary.
     """
+    if airport_filter is not None and airport_filter not in TOP_AIRPORTS:
+        raise ValueError(f"airport_filter {airport_filter!r} is not one of TOP_AIRPORTS")
     states = airport_states if airport_states is not None else load_airport_states()
     wx_names: list[str] = []
     for rec in records:
@@ -240,11 +231,12 @@ def preprocess(records, cfg: PreprocessConfig,
     rows: list[FlightFeatureRow] = []
     excluded: Counter = Counter()
     for rec in records:
-        reason = _filter_record(rec, cfg, states)
+        delay_min = (None if rec.actual_departure is None else
+                     (rec.actual_departure - rec.scheduled_departure).total_seconds() / 60.0)
+        reason = _filter_record(rec, delay_min, airport_filter, states)
         if reason is not None:
             excluded[reason] += 1
             continue
-        delay_min = (rec.actual_departure - rec.scheduled_departure).total_seconds() / 60.0
         sched = rec.scheduled_departure
         iso = sched.isocalendar()
         features = np.array(
@@ -256,7 +248,7 @@ def preprocess(records, cfg: PreprocessConfig,
             week_of_year=int(iso[1]),
             year=int(iso[0]),
             numeric_features=features,
-            delayed=int(delay_min >= cfg.delay_threshold_minutes),
+            delayed=int(delay_min >= DELAY_THRESHOLD_MINUTES),
         ))
     if excluded:
         log.info("preprocess: excluded %d records (%s)", sum(excluded.values()), dict(excluded))

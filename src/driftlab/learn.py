@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import Normalizer, apply_normalizer, fit_normalizer
+from .special import sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -210,8 +211,6 @@ class NaiveBayes:
         return jll
 
     def predict(self, numeric: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        if numeric.shape[0] == 0:
-            return np.zeros(0, dtype=int)
         jll = self.joint_log_likelihood(numeric, codes)
         return self.classes[np.argmax(jll, axis=1)]
 
@@ -369,8 +368,6 @@ class RandomForest:
         return self
 
     def predict(self, numeric: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        if numeric.shape[0] == 0:
-            return np.zeros(0, dtype=int)
         votes = np.zeros(numeric.shape[0])
         for tree in self.trees:
             votes += tree.predict(numeric, codes)
@@ -380,10 +377,6 @@ class RandomForest:
 # ---------------------------------------------------------------------------
 # Multilayer perceptron (one logistic hidden layer, BCE, mini-batch GD)
 # ---------------------------------------------------------------------------
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
 
 class MLP:
     def __init__(self, hidden_neurons: int, learning_rate: float, epochs: int,
@@ -403,8 +396,8 @@ class MLP:
         self.b2 = np.zeros(1)
 
     def _forward(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = _sigmoid(X @ self.W1 + self.b1)
-        p = _sigmoid(h @ self.W2 + self.b2).ravel()
+        h = sigmoid(X @ self.W1 + self.b1)
+        p = sigmoid(h @ self.W2 + self.b2).ravel()
         return h, p
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
@@ -447,8 +440,6 @@ class MLP:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=int)
         _, p = self._forward(X)
         return (p >= 0.5).astype(int)
 

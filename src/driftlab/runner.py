@@ -7,6 +7,7 @@ analyses over the finished table.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -28,14 +29,34 @@ log = logging.getLogger(__name__)
 
 RESULTS_VERSION = "driftlab-results-1"
 
-RESULT_COLUMNS = ("airport", "classifier", "bss", "detector", "strategy",
-                  "replicate", "t", "trained", "drift",
-                  "tp", "fp", "fn", "tn",
-                  "accuracy", "precision", "recall", "f1", "error")
 
-_INT_COLUMNS = ("bss", "replicate", "t", "tp", "fp", "fn", "tn")
-_FLOAT_COLUMNS = ("accuracy", "precision", "recall", "f1")
-METRIC_COLUMNS = _FLOAT_COLUMNS
+def _parse_flag(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"bad flag {raw!r}: expected true, false or empty")
+    return raw == "true"
+
+
+def _format_flag(value) -> str:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"bad flag {value!r}: expected a bool or None")
+    return "true" if value else "false"
+
+
+_TEXT = (str, str)
+_INT = (int, str)
+_FLOAT = (float, repr)
+_FLAG = (_parse_flag, _format_flag)
+
+# Each column's (parse, format) pair for a non-empty cell; None is the empty cell.
+_CODECS = {
+    "airport": _TEXT, "classifier": _TEXT, "bss": _INT, "detector": _TEXT,
+    "strategy": _TEXT, "replicate": _INT, "t": _INT, "trained": _FLAG, "drift": _FLAG,
+    "tp": _INT, "fp": _INT, "fn": _INT, "tn": _INT,
+    "accuracy": _FLOAT, "precision": _FLOAT, "recall": _FLOAT, "f1": _FLOAT,
+    "error": _TEXT,
+}
+RESULT_COLUMNS = tuple(_CODECS)
+METRIC_COLUMNS = tuple(col for col, codec in _CODECS.items() if codec is _FLOAT)
 
 SB_KEY = "SB"
 
@@ -108,28 +129,16 @@ def grid_cells(grid: ExperimentGrid) -> list[Cell]:
 # Result rows and table IO
 # ---------------------------------------------------------------------------
 
-def _format_value(column: str, value) -> str:
-    if value is None:
-        return ""
-    if column in ("trained", "drift") and isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _parse_value(column: str, raw: str):
-    if raw == "":
-        return None
-    if column in _INT_COLUMNS:
-        return int(raw)
-    if column in _FLOAT_COLUMNS:
-        return float(raw)
-    if column in ("trained", "drift"):
-        if raw not in ("true", "false"):
-            raise ValueError(f"bad {column} flag {raw!r}: expected true, false or empty")
-        return raw == "true"
-    return raw
+def _format_row(row: dict) -> list[str]:
+    """The row's cells in RESULT_COLUMNS order; a missing key is None."""
+    cells = []
+    try:
+        for col, (_, fmt) in _CODECS.items():
+            value = row.get(col)
+            cells.append("" if value is None else fmt(value))
+    except ValueError as exc:
+        raise ValueError(f"results column {col}: {exc}") from None
+    return cells
 
 
 def row_key(row: dict) -> tuple:
@@ -145,12 +154,18 @@ def load_results(path: str | Path) -> list[dict]:
         header = next(reader, None)
         if header is None or tuple(header) != RESULT_COLUMNS:
             raise ValueError(f"unexpected results header in {path}")
+        parsers = [parse for parse, _ in _CODECS.values()]
         for fields_ in reader:
             if len(fields_) != len(RESULT_COLUMNS):
                 raise ValueError(f"{path} line {reader.line_num}: {len(fields_)} fields, "
                                  f"expected {len(RESULT_COLUMNS)}")
-            rows.append({col: _parse_value(col, raw)
-                         for col, raw in zip(RESULT_COLUMNS, fields_)})
+            row = {}
+            try:
+                for col, parse, raw in zip(RESULT_COLUMNS, parsers, fields_):
+                    row[col] = parse(raw) if raw else None
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num} column {col}: {exc}") from None
+            rows.append(row)
     return rows
 
 
@@ -162,7 +177,7 @@ def export_results(rows: list[dict], path: str | Path) -> Path:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
-            writer.writerow([_format_value(col, row.get(col)) for col in RESULT_COLUMNS])
+            writer.writerow(_format_row(row))
     return path
 
 
@@ -238,11 +253,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     manifest_path = Path(str(out_path) + ".manifest.json")
     manifest = {
         "version": RESULTS_VERSION,
-        "grid": {"airports": [a or SB_KEY for a in grid.airports],
-                 "classifiers": list(grid.classifiers),
-                 "years": list(grid.years), "bss": list(grid.bss),
-                 "detectors": list(grid.detectors), "strategies": list(grid.strategies),
-                 "replicates": grid.replicates},
+        "grid": {**dataclasses.asdict(grid), "airports": [a or SB_KEY for a in grid.airports]},
         "base_seed": base_seed, "alpha": alpha, "min_week_flights": min_week_flights,
         "cv_folds": cv_folds, "hyperparameters": hyperparameters,
         "columns": list(RESULT_COLUMNS),
@@ -304,7 +315,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                 key = row_key(row)
                 if key in existing_keys:
                     continue
-                writer.writerow([_format_value(col, row.get(col)) for col in RESULT_COLUMNS])
+                writer.writerow(_format_row(row))
                 existing_keys.add(key)
             fh.flush()
     finally:

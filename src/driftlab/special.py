@@ -1,6 +1,6 @@
 """Numerical primitives backing the hypothesis tests: error function,
-normal CDF/quantile, regularized incomplete beta, and the Student-t /
-F distribution functions derived from it.
+normal CDF/quantile, the logistic function, regularized incomplete beta,
+and the Student-t / F distribution functions derived from it.
 
 Everything here is self-contained (stdlib math + numpy); accuracy notes
 are given per function because the test p-values depend on them.
@@ -47,6 +47,11 @@ def norm_sf(x):
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x / math.sqrt(2.0))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, with z clipped to [-500, 500] so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
 # Acklam's rational approximation to the normal quantile; relative error

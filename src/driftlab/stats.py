@@ -165,15 +165,16 @@ def shapiro_wilk(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
 # Lilliefors-corrected Kolmogorov-Smirnov normality test
 # ---------------------------------------------------------------------------
 
-def _lilliefors_statistic(sorted_sample: np.ndarray) -> float:
-    n = sorted_sample.size
-    mean = sorted_sample.mean()
-    sd = sorted_sample.std(ddof=1)
-    z = norm_cdf((sorted_sample - mean) / sd)
+def _lilliefors_statistics(sorted_rows: np.ndarray) -> np.ndarray:
+    """Lilliefors D of each row of a (samples, n) array sorted along rows:
+    the largest distance between the empirical CDF and the normal CDF with
+    the row's own mean and sd."""
+    n = sorted_rows.shape[1]
+    mean = sorted_rows.mean(axis=1, keepdims=True)
+    sd = sorted_rows.std(axis=1, ddof=1, keepdims=True)
+    z = norm_cdf((sorted_rows - mean) / sd)
     i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - z)
-    d_minus = np.max(z - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return np.maximum((i / n - z).max(axis=1), (z - (i - 1) / n).max(axis=1))
 
 
 @lru_cache(maxsize=32)
@@ -182,18 +183,12 @@ def _lilliefors_null_table(n: int, replicates: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     out = np.empty(replicates)
     chunk = max(1, min(replicates, 4_000_000 // n))
-    i_over_n = np.arange(1, n + 1) / n
-    im1_over_n = np.arange(0, n) / n
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
         draws = rng.standard_normal((m, n))
         draws.sort(axis=1)
-        mean = draws.mean(axis=1, keepdims=True)
-        sd = draws.std(axis=1, ddof=1, keepdims=True)
-        z = norm_cdf((draws - mean) / sd)
-        d = np.maximum((i_over_n - z).max(axis=1), (z - im1_over_n).max(axis=1))
-        out[done:done + m] = d
+        out[done:done + m] = _lilliefors_statistics(draws)
         done += m
     out.sort()
     return out
@@ -212,7 +207,7 @@ def ks_normality(sample, alpha: float = DEFAULT_ALPHA,
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DegenerateSampleError("degenerate sample: zero variance")
-    d = _lilliefors_statistic(xs)
+    d = float(_lilliefors_statistics(xs[None, :])[0])
     table = _lilliefors_null_table(xs.size, mc_replicates, _LILLIEFORS_SEED)
     count_ge = table.size - np.searchsorted(table, d, side="left")
     p = (count_ge + 1.0) / (table.size + 1.0)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import FlightFeatureRow
+from .special import sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -87,16 +88,12 @@ class SyntheticSpec:
         return tuple(f"x{i}" for i in range(len(self.numeric_weights)))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
 def _calibrate_intercept(target: float, probe_logits: np.ndarray) -> float:
     """Intercept c with mean(sigmoid(c + probe_logits)) == target, by bisection."""
     lo, hi = -30.0, 30.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if float(_sigmoid(mid + probe_logits).mean()) < target:
+        if float(sigmoid(mid + probe_logits).mean()) < target:
             lo = mid
         else:
             hi = mid
@@ -147,7 +144,7 @@ def generate_stream(spec: SyntheticSpec) -> tuple[list[FlightFeatureRow], list[D
         seasonal = spec.seasonal_amplitude * np.sin(
             2.0 * math.pi * (week - 1) / spec.weeks_per_year)
         logit = intercept + x @ weights + effects[cat] + seasonal
-        delayed = (data_rng.uniform(size=per_year) < _sigmoid(logit)).astype(int)
+        delayed = (data_rng.uniform(size=per_year) < sigmoid(logit)).astype(int)
         for i in range(per_year):
             rows.append(FlightFeatureRow(
                 origin_airport=SYNTH_ORIGIN,

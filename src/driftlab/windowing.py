@@ -17,7 +17,6 @@ class WindowUnderflowError(ValueError):
 @dataclass(frozen=True)
 class Batch:
     """All rows of one time slice (one year)."""
-    index: int
     year: int
     rows: tuple = field(repr=False)
 
@@ -31,8 +30,7 @@ class Batch:
 
 @dataclass(frozen=True)
 class BatchSequence:
-    """b consecutive batches ending at end_index (a training window)."""
-    end_index: int
+    """b consecutive batches (a training window)."""
     size: int
     batches: tuple
 
@@ -64,8 +62,7 @@ def partition_by_year(rows, year_range: tuple[int, int]) -> list[Batch]:
     for row in rows:
         if first <= row.year <= last:
             buckets[row.year].append(row)
-    batches = [Batch(index=i, year=year, rows=tuple(buckets[year]))
-               for i, year in enumerate(range(first, last + 1))]
+    batches = [Batch(year=year, rows=tuple(buckets[year])) for year in range(first, last + 1)]
     empty = [b.year for b in batches if b.is_empty]
     if empty:
         log.warning("partition_by_year: empty batches for years %s", empty)
@@ -83,7 +80,7 @@ def batch_sequence(stream: list[Batch], end_year: int, b: int) -> BatchSequence:
         raise WindowUnderflowError(
             f"window underflow: need {b} batches ending at {end_year}, "
             f"stream starts at {years[0]}")
-    return BatchSequence(end_index=pos, size=b, batches=tuple(stream[pos - b + 1:pos + 1]))
+    return BatchSequence(size=b, batches=tuple(stream[pos - b + 1:pos + 1]))
 
 
 def step_years(years: list[int], b: int,

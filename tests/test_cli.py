@@ -79,6 +79,16 @@ class TestPreprocessCommand:
         rows, _ = ingest.load_rows(out)
         assert len(rows) == 1 and rows[0].origin_airport == "SBBR"
 
+    def test_airport_outside_top_airports_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+            "F1,SBGR,SBBR,2003-03-10T08:00,2003-03-10T08:40,domestic\n")
+        out = tmp_path / "rows.npz"
+        assert main(["preprocess", str(csv_path), "--airport", "KJFK", "-o", str(out)]) == 1
+        assert "TOP_AIRPORTS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["preprocess", str(tmp_path / "nope.csv"), "-o",
                      str(tmp_path / "o.npz")]) == 1

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import make_row
 from driftlab import ingest
-from driftlab.ingest import (PreprocessConfig, apply_normalizer,
-                             fit_normalizer, load_airport_states, load_flights,
+from driftlab.ingest import (apply_normalizer, fit_normalizer, load_airport_states, load_flights,
                              load_rows, preprocess, save_rows)
 
 HEADER = "flight_id,origin,destination,scheduled_departure,actual_departure,kind,wx_temp,wx_wind\n"
@@ -76,39 +75,38 @@ class TestLoadFlights:
 class TestPreprocess:
     def test_delay_30min_labeled_delayed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-10T08:30")])
-        rows = preprocess(load_flights(path).records, PreprocessConfig()).rows
+        rows = preprocess(load_flights(path).records).rows
         assert rows[0].delayed == 1
 
     def test_delay_14min_not_delayed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-10T08:14")])
-        rows = preprocess(load_flights(path).records, PreprocessConfig()).rows
+        rows = preprocess(load_flights(path).records).rows
         assert rows[0].delayed == 0
 
     def test_delay_25h_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-11T09:00")])
-        result = preprocess(load_flights(path).records, PreprocessConfig())
+        result = preprocess(load_flights(path).records)
         assert result.rows == []
         assert result.excluded["delay_above_max"] == 1
 
     def test_international_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(kind="international")])
-        result = preprocess(load_flights(path).records, PreprocessConfig())
+        result = preprocess(load_flights(path).records)
         assert result.excluded["not_domestic"] == 1
 
     def test_missing_actual_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="")])
-        result = preprocess(load_flights(path).records, PreprocessConfig())
+        result = preprocess(load_flights(path).records)
         assert result.excluded["missing_actual_departure"] == 1
 
     def test_unknown_destination_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(dest="XXXX")])
-        result = preprocess(load_flights(path).records, PreprocessConfig())
+        result = preprocess(load_flights(path).records)
         assert result.excluded["unknown_destination_state"] == 1
 
     def test_airport_filter(self, tmp_path):
         path = write_csv(tmp_path, [line(origin="SBGR"), line(origin="SBBR")])
-        cfg = PreprocessConfig(airport_filter="SBBR")
-        result = preprocess(load_flights(path).records, cfg)
+        result = preprocess(load_flights(path).records, airport_filter="SBBR")
         assert len(result.rows) == 1
         assert result.rows[0].origin_airport == "SBBR"
 
@@ -116,13 +114,13 @@ class TestPreprocess:
         # Dec 29 2003 falls in ISO week 1 of 2004
         path = write_csv(tmp_path, [line(sched="2003-12-29T10:00",
                                          actual="2003-12-29T10:05")])
-        row = preprocess(load_flights(path).records, PreprocessConfig()).rows[0]
+        row = preprocess(load_flights(path).records).rows[0]
         assert (row.year, row.week_of_year) == (2004, 1)
         assert row.destination_state == "DF"
 
     def test_feature_vector_layout(self, tmp_path):
         path = write_csv(tmp_path, [line()])
-        result = preprocess(load_flights(path).records, PreprocessConfig())
+        result = preprocess(load_flights(path).records)
         assert result.feature_names == ("sched_hour", "sched_weekday", "sched_month",
                                         "wx_temp", "wx_wind")
         # Monday 2003-03-10 08:00, March
@@ -133,30 +131,25 @@ class TestPreprocess:
                  for i, (o, k) in enumerate([("SBGR", "domestic"), ("SBXX", "domestic"),
                                              ("SBBR", "international"), ("SBCF", "domestic")])]
         records = load_flights(write_csv(tmp_path, lines)).records
-        cfg = PreprocessConfig()
         states = load_airport_states()
-        survivors = [r for r in records if ingest._filter_record(r, cfg, states) is None]
-        again = [r for r in survivors if ingest._filter_record(r, cfg, states) is None]
+
+        def kept(r):
+            delay_min = (r.actual_departure - r.scheduled_departure).total_seconds() / 60.0
+            return ingest._filter_record(r, delay_min, None, states) is None
+        survivors = [r for r in records if kept(r)]
+        again = [r for r in survivors if kept(r)]
         assert again == survivors
-        assert len(preprocess(survivors, cfg).rows) == len(survivors)
+        assert len(preprocess(survivors).rows) == len(survivors)
 
     def test_label_is_pure_function_of_delay(self, tmp_path):
         for minutes, expected in ((0, 0), (14, 0), (15, 1), (200, 1)):
             actual = f"2003-03-10T{8 + minutes // 60:02d}:{minutes % 60:02d}"
             path = write_csv(tmp_path, [line(actual=actual)])
-            row = preprocess(load_flights(path).records, PreprocessConfig()).rows[0]
+            row = preprocess(load_flights(path).records).rows[0]
             assert row.delayed == expected
 
 
 class TestConfig:
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            PreprocessConfig(delay_threshold_minutes=0)
-
-    def test_max_delay_must_exceed_threshold(self):
-        with pytest.raises(ValueError):
-            PreprocessConfig(delay_threshold_minutes=120, max_delay_hours=1)
-
     def test_airport_states_table(self):
         states = load_airport_states()
         assert states["SBGR"] == "SP" and states["SBPA"] == "RS"

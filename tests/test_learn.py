@@ -235,6 +235,22 @@ class TestPredictContract:
         with pytest.raises(ValueError):
             train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}), [])
 
+    @pytest.mark.parametrize("kind,hp", [
+        ("NB", {"smoothing": 0.5}),
+        ("RF", {"trees_count": 3, "predictors_per_split": 2}),
+        ("MLP", {"hidden_neurons": 4, "learning_rate": 0.3, "epochs": 3}),
+    ])
+    def test_classifier_predicts_empty_on_zero_rows(self, toy_separable_rows, kind, hp):
+        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=1), toy_separable_rows)
+        raw, cats, _ = _extract(toy_separable_rows)
+        numeric = apply_normalizer(model.normalizer, raw)[:0]
+        codes = _encode(cats, model.vocabs)[:0]
+        if kind == "MLP":
+            out = model.classifier.predict(np.hstack([numeric, one_hot(codes, model.vocab_sizes)]))
+        else:
+            out = model.classifier.predict(numeric, codes)
+        assert out.shape == (0,)
+
 
 class TestGridSearch:
     def test_grid_of_one(self, toy_separable_rows):

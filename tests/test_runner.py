@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from driftlab import learn, runner, synth
 from driftlab.runner import (ExperimentGrid, correlate_drifts_performance,
                              count_drifts, drift_analysis, export_results, grid_cells,
                              load_results, row_key, topk_frequency)
-from driftlab.strategy import recorded_step_years
+from driftlab.strategy import StreamRun, recorded_step_years
 from driftlab.windowing import partition_by_year
 
 FAST_HP = {
@@ -450,6 +451,25 @@ class TestExport:
         export_results(results, out)
         assert len(out.read_text().splitlines()) == 4
 
+    def test_every_cell_kind_round_trips(self, tmp_path):
+        out = tmp_path / "edge.csv"
+        export_results(edge_rows(), out)
+        assert canonical(load_results(out)) == canonical(edge_rows())
+
+    def test_every_cell_kind_round_trips_through_the_sweep(self, tmp_path, monkeypatch):
+        edge = edge_rows()
+        monkeypatch.setattr(runner, "run_stream", lambda stream, b, cells, *args, **kwargs: [
+            StreamRun(steps=list(range(len(edge)))) for _ in cells])
+        monkeypatch.setattr(runner, "_step_to_row", lambda cell, i: edge[i])
+        results = drift_analysis(synth_rows(years=5), tiny_grid(), tmp_path / "res.csv",
+                                 hyperparameters=FAST_HP)
+        assert canonical(results) == canonical(edge)
+
+    @pytest.mark.parametrize("column,value", [("drift", 1), ("trained", "yes")])
+    def test_non_bool_flag_refused_at_write(self, tmp_path, column, value):
+        with pytest.raises(ValueError, match=f"column {column}: bad flag"):
+            export_results([{**fake_row(), column: value}], tmp_path / "res.csv")
+
 
 def fake_row(airport="SB", classifier="NB", bss=1, detector="mean", strategy="active",
              replicate=0, t=2003, drift=False, f1=0.5, accuracy=0.8, precision=0.6,
@@ -458,6 +478,26 @@ def fake_row(airport="SB", classifier="NB", bss=1, detector="mean", strategy="ac
             "strategy": strategy, "replicate": replicate, "t": t, "trained": True,
             "drift": drift, "tp": 1, "fp": 1, "fn": 1, "tn": 1, "accuracy": accuracy,
             "precision": precision, "recall": recall, "f1": f1, "error": error}
+
+
+def edge_rows():
+    """Rows with every kind of cell the table stores: empty cells, both flags
+    as bool and numpy.bool_, floats whose repr is long, tiny or signed, and
+    error text that csv must quote."""
+    flags = (True, False, np.True_, np.False_, None)
+    floats = (0.1 + 0.2, 5e-324, -0.0, 1 / 3, None)
+    errors = (None, 'ValueError: bad "window", see\nthe next line')
+    return [{**fake_row(t=t, drift=flag, accuracy=value, precision=value, recall=value,
+                        f1=value, error=error),
+             "trained": flag, "tp": None if error else t}
+            for t, (flag, value, error) in enumerate(itertools.product(flags, floats, errors))]
+
+
+def canonical(rows):
+    """The repr of each value, numpy.bool_ as bool, so that -0.0 differs from
+    0.0 and True from 1."""
+    return [{col: repr(bool(v) if isinstance(v, np.bool_) else v) for col, v in row.items()}
+            for row in rows]
 
 
 class TestCountDrifts:
@@ -504,7 +544,7 @@ class TestCountDrifts:
         out = tmp_path / "res.csv"
         export_results([fake_row()], out)
         out.write_text(out.read_text().replace(",true,false,", ",true,False,"))
-        with pytest.raises(ValueError, match="drift"):
+        with pytest.raises(ValueError, match=r"res\.csv line 2 column drift: bad flag"):
             load_results(out)
 
     def test_two_injected_shifts_counted(self, tmp_path):

@@ -83,6 +83,18 @@ class TestKsNormality:
         x = np.random.default_rng(5).normal(size=30)
         assert ks_normality(x).p_value == ks_normality(x).p_value
 
+    def test_recorded_statistics_and_p_values_bit_for_bit(self):
+        # recorded before the sample statistic and the null table shared one
+        # D function; any change to either moves these in the last bits
+        rng = np.random.default_rng(8)
+        samples = [rng.normal(0.3, 1.2, 25), rng.uniform(size=52), rng.gamma(3.0, size=104)]
+        recorded = [(0.08565752645486996, 0.9103044847757612),
+                    (0.06378376276394926, 0.8638068096595171),
+                    (0.12681685480291804, 0.0002999850007499625)]
+        for x, expected in zip(samples, recorded):
+            res = ks_normality(x, mc_replicates=20_000)
+            assert (res.statistic, res.p_value) == expected
+
 
 class TestWelchT:
     def test_identical_samples(self):

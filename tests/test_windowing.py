@@ -16,7 +16,6 @@ class TestPartition:
         batches = partition_by_year([make_row(year=y) for y in (2004, 2003, 2006, 2005)],
                                     (2003, 2006))
         assert [b.year for b in batches] == [2003, 2004, 2005, 2006]
-        assert [b.index for b in batches] == [0, 1, 2, 3]
 
     def test_empty_year_is_kept_and_flagged(self, caplog):
         with caplog.at_level("WARNING"):
@@ -62,10 +61,10 @@ class TestBatchSequence:
         assert seq.rows == expected
 
     def test_non_consecutive_batches_rejected(self):
-        b1 = Batch(index=0, year=2003, rows=())
-        b2 = Batch(index=1, year=2005, rows=())
+        b1 = Batch(year=2003, rows=())
+        b2 = Batch(year=2005, rows=())
         with pytest.raises(ValueError):
-            BatchSequence(end_index=1, size=2, batches=(b1, b2))
+            BatchSequence(size=2, batches=(b1, b2))
 
 
 class TestStepYears:
