@@ -220,12 +220,10 @@ class NaiveBayes:
 # ---------------------------------------------------------------------------
 
 def _gini_split_cost(n_left, pos_left, n_right, pos_right):
-    """Total weighted Gini impurity of a candidate children pair (vectorized)."""
-    n_left = np.asarray(n_left, dtype=float)
-    n_right = np.asarray(n_right, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pl = np.where(n_left > 0, pos_left / n_left, 0.0)
-        pr = np.where(n_right > 0, pos_right / n_right, 0.0)
+    """Total weighted Gini impurity of candidate children pairs (vectorized);
+    every candidate has rows on both sides."""
+    pl = pos_left / n_left
+    pr = pos_right / n_right
     gini_l = 2.0 * pl * (1.0 - pl)
     gini_r = 2.0 * pr * (1.0 - pr)
     return n_left * gini_l + n_right * gini_r
@@ -233,115 +231,256 @@ def _gini_split_cost(n_left, pos_left, n_right, pos_right):
 
 class DecisionTree:
     """Binary CART with Gini splits; numeric thresholds plus exact binary
-    categorical subset splits via the positive-rate ordering trick."""
+    categorical subset splits via the positive-rate ordering trick.
+
+    The tree is flat node arrays in depth-first order, node 0 the root, as
+    in scikit-learn's ``Tree``. ``feature`` indexes the numeric columns and
+    then the categorical ones, ``children`` holds the left and right child
+    indices (-1 at a leaf) and ``value`` a leaf's label (-1 at an inner
+    node). A numeric node sends a value left when it is <= ``threshold``
+    (-inf off numeric nodes). ``routes`` holds one block of ``width`` flags
+    per categorical node, starting at ``route[node]``: flag c sends level
+    code c left. Codes absent from the node in training, and the block's
+    last entry, which takes every code past it (levels unseen in training),
+    go to the side ``majority_left`` names, the child that got most of the
+    node's training rows; ``seen`` marks the codes that were present. Every
+    other node points at a final all-False block.
+    """
 
     def __init__(self, predictors_per_split: int, rng: np.random.Generator,
                  max_depth: int | None = None):
         self.mtry = predictors_per_split
         self.rng = rng
         self.max_depth = max_depth
-        self.root: dict | None = None
 
     def fit(self, numeric: np.ndarray, codes: np.ndarray, y: np.ndarray) -> "DecisionTree":
         self.n_numeric = numeric.shape[1]
         n_features = self.n_numeric + codes.shape[1]
         if self.mtry > n_features:
             raise ValueError(f"predictors_per_split {self.mtry} exceeds feature count {n_features}")
-        self.root = self._grow(numeric, codes, y, depth=0)
+        self._set_nodes(_Grower(self, numeric, codes, y).nodes)
         return self
 
-    @staticmethod
-    def _leaf(y: np.ndarray) -> dict:
-        pos = int(y.sum())
-        return {"leaf": int(2 * pos >= y.size)}
+    def _set_nodes(self, nodes: list) -> None:
+        """Node rows [feature, threshold, majority_left, left, right, value,
+        left_levels, right_levels] (levels None off categorical nodes) to
+        the node arrays."""
+        (feature, threshold, majority_left, left, right, value,
+         left_levels, right_levels) = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.majority_left = np.array(majority_left, dtype=bool)
+        self.children = np.array([left, right], dtype=np.intp).T.copy()
+        self.value = np.array(value, dtype=int)
+        cat = [i for i, levels in enumerate(left_levels) if levels is not None]
+        self.width = 2 + max((max(max(left_levels[i]), max(right_levels[i])) for i in cat),
+                             default=-1)
+        self.route = np.full(len(nodes), len(cat) * self.width, dtype=np.intp)
+        routes = np.zeros((len(cat) + 1, self.width), dtype=bool)
+        seen = np.zeros_like(routes)
+        for r, i in enumerate(cat):
+            self.route[i] = r * self.width
+            routes[r] = majority_left[i]
+            routes[r, left_levels[i]] = True
+            routes[r, right_levels[i]] = False
+            seen[r, left_levels[i]] = True
+            seen[r, right_levels[i]] = True
+        self.routes = routes.ravel()
+        self.seen = seen.ravel()
 
-    def _grow(self, numeric, codes, y, depth) -> dict:
-        n = y.size
-        pos = int(y.sum())
-        if pos == 0 or pos == n or (self.max_depth is not None and depth >= self.max_depth):
-            return self._leaf(y)
-        n_features = self.n_numeric + codes.shape[1]
-        features = self.rng.choice(n_features, size=self.mtry, replace=False)
-        best = None  # (cost, split dict, mask_left)
-        for f in features:
-            cand = (self._best_numeric_split(numeric, y, int(f)) if f < self.n_numeric
-                    else self._best_categorical_split(codes, y, int(f - self.n_numeric)))
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand
-        p1 = pos / n
-        parent_cost = n * 2.0 * p1 * (1.0 - p1)
-        if best is None or best[0] >= parent_cost:
-            return self._leaf(y)
-        cost, split, mask_left = best
-        split["majority"] = "left" if int(mask_left.sum()) * 2 >= n else "right"
-        split["left"] = self._grow(numeric[mask_left], codes[mask_left], y[mask_left], depth + 1)
-        split["right"] = self._grow(numeric[~mask_left], codes[~mask_left], y[~mask_left], depth + 1)
-        return split
-
-    def _best_numeric_split(self, numeric, y, f):
-        values = numeric[:, f]
-        order = np.argsort(values, kind="mergesort")
-        v = values[order]
-        ys = y[order]
-        distinct = np.nonzero(v[1:] > v[:-1])[0]  # split after position i
-        if distinct.size == 0:
-            return None
-        n = v.size
-        cum_pos = np.cumsum(ys)
-        n_left = distinct + 1
-        pos_left = cum_pos[distinct]
-        cost = _gini_split_cost(n_left, pos_left, n - n_left, cum_pos[-1] - pos_left)
-        i = int(np.argmin(cost))
-        thr = 0.5 * (v[distinct[i]] + v[distinct[i] + 1])
-        mask_left = values <= thr
-        return float(cost[i]), {"kind": "num", "feature": f, "threshold": float(thr)}, mask_left
-
-    def _best_categorical_split(self, codes, y, j):
-        col = codes[:, j]
-        levels, inverse = np.unique(col, return_inverse=True)
-        if levels.size < 2:
-            return None
-        n_per = np.bincount(inverse)
-        pos_per = np.bincount(inverse, weights=y)
-        rate = pos_per / n_per
-        order = np.argsort(rate, kind="mergesort")
-        n_sorted = n_per[order]
-        pos_sorted = pos_per[order]
-        cum_n = np.cumsum(n_sorted)[:-1]
-        cum_pos = np.cumsum(pos_sorted)[:-1]
-        n = col.size
-        total_pos = float(y.sum())
-        cost = _gini_split_cost(cum_n, cum_pos, n - cum_n, total_pos - cum_pos)
-        i = int(np.argmin(cost))
-        left_levels = sorted(int(levels[k]) for k in order[:i + 1])
-        right_levels = sorted(int(levels[k]) for k in order[i + 1:])
-        mask_left = np.isin(col, left_levels)
-        return (float(cost[i]),
-                {"kind": "cat", "feature": j, "left_levels": left_levels,
-                 "right_levels": right_levels},
-                mask_left)
-
-    def predict(self, numeric: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        out = np.zeros(numeric.shape[0], dtype=int)
-        for i in range(numeric.shape[0]):
-            out[i] = self._predict_one(self.root, numeric[i], codes[i])
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Labels of the rows of X (numeric columns, then level codes): all
+        rows go down the tree together, one level per step."""
+        out = np.empty(X.shape[0], dtype=int)
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        children = self.children.ravel()  # node's left child at 2 * node, right at 2 * node + 1
+        # a NaN numeric value casts to no code; it indexes the all-False block
+        with np.errstate(invalid="ignore"):
+            while rows.size:
+                label = self.value[node]
+                at_leaf = label >= 0
+                if at_leaf.any():
+                    leaf = at_leaf.nonzero()[0]
+                    out[rows[leaf]] = label[leaf]
+                    inner = (~at_leaf).nonzero()[0]
+                    rows, node = rows[inner], node[inner]
+                x = X[rows, self.feature[node]]
+                code = np.clip(x.astype(np.intp), 0, self.width - 1)
+                go_left = (x <= self.threshold[node]) | self.routes[self.route[node] + code]
+                node = children[2 * node + ~go_left]
         return out
 
-    def _predict_one(self, node, x_num, x_cat) -> int:
-        while "leaf" not in node:
-            if node["kind"] == "num":
-                go_left = x_num[node["feature"]] <= node["threshold"]
+    def to_dict(self, node: int = 0) -> dict:
+        """The nested form model files hold."""
+        if self.value[node] >= 0:
+            return {"leaf": int(self.value[node])}
+        f = int(self.feature[node])
+        if f < self.n_numeric:
+            split = {"kind": "num", "feature": f, "threshold": float(self.threshold[node])}
+        else:
+            block = slice(self.route[node], self.route[node] + self.width)
+            goes_left, seen = self.routes[block], self.seen[block]
+            split = {"kind": "cat", "feature": f - self.n_numeric,
+                     "left_levels": np.flatnonzero(seen & goes_left).tolist(),
+                     "right_levels": np.flatnonzero(seen & ~goes_left).tolist()}
+        split["majority"] = "left" if self.majority_left[node] else "right"
+        left, right = self.children[node].tolist()
+        split["left"] = self.to_dict(left)
+        split["right"] = self.to_dict(right)
+        return split
+
+    @classmethod
+    def from_dict(cls, root: dict, n_numeric: int, predictors_per_split: int) -> "DecisionTree":
+        tree = cls(predictors_per_split, np.random.default_rng(0))
+        tree.n_numeric = n_numeric
+        nodes = []
+
+        def add(d):
+            i = len(nodes)
+            if "leaf" in d:
+                nodes.append(_leaf_node(d["leaf"]))
+                return i
+            majority_left = d["majority"] == "left"
+            if d["kind"] == "num":
+                row = [d["feature"], d["threshold"], majority_left, -1, -1, -1, None, None]
             else:
-                code = int(x_cat[node["feature"]])
-                if code in node["left_levels"]:
-                    go_left = True
-                elif code in node["right_levels"]:
-                    go_left = False
-                else:
-                    # level unseen at this node during fit
-                    go_left = node["majority"] == "left"
-            node = node["left"] if go_left else node["right"]
-        return node["leaf"]
+                row = [n_numeric + d["feature"], -math.inf, majority_left, -1, -1, -1,
+                       d["left_levels"], d["right_levels"]]
+            nodes.append(row)
+            row[3] = add(d["left"])
+            row[4] = add(d["right"])
+            return i
+
+        add(root)
+        tree._set_nodes(nodes)
+        return tree
+
+
+def _leaf_node(value: int) -> list:
+    return [-1, -math.inf, False, -1, -1, value, None, None]
+
+
+class _Grower:
+    """Grows one tree depth first, left child first, with one predictor
+    draw per splittable node.
+
+    Each numeric column is sorted once (stably) for the whole sample; a node
+    gets, per numeric column, its rows in that order, plus its rows in sample
+    order as the last line of the same matrix. A stable sort of a node's rows
+    is the subsequence of the sample's stable sort, so every candidate list,
+    cumsum and argmin tie is what sorting the node itself would give.
+    """
+
+    def __init__(self, tree: DecisionTree, numeric: np.ndarray, codes: np.ndarray,
+                 y: np.ndarray):
+        self.rng = tree.rng
+        self.mtry = tree.mtry
+        self.max_depth = tree.max_depth
+        self.n_numeric = numeric.shape[1]
+        self.n_features = self.n_numeric + codes.shape[1]
+        # feature f's values: numeric columns, then level codes
+        self.columns = [column.copy() for column in numeric.T] + [col.copy() for col in codes.T]
+        self.y = y
+        self.in_left = np.zeros(y.size, dtype=bool)
+        order = np.empty((self.n_numeric + 1, y.size), dtype=np.intp)
+        for f in range(self.n_numeric):
+            order[f] = np.argsort(self.columns[f], kind="mergesort")
+        order[-1] = np.arange(y.size)
+        self.nodes: list = []
+        self.grow(order, int(y.sum()), depth=0)
+
+    def grow(self, order: np.ndarray, pos: int, depth: int) -> int:
+        """Grow the node whose rows `order` holds (pos of them positive) and
+        its subtree; returns the node's index."""
+        node = len(self.nodes)
+        n = order.shape[1]
+        split = None
+        if 0 < pos < n and (self.max_depth is None or depth < self.max_depth):
+            split = self.best_split(order, pos)
+        if split is None:
+            self.nodes.append(_leaf_node(int(2 * pos >= n)))
+            return node
+        f, threshold, left_rows, left_pos, left_levels, right_levels = split
+        n_left = left_rows.size
+        row = [f, threshold, n_left * 2 >= n, -1, -1, -1, left_levels, right_levels]
+        self.nodes.append(row)
+        self.in_left[left_rows] = True
+        goes_left = self.in_left[order]
+        self.in_left[left_rows] = False
+        row[3] = self.grow(order[goes_left].reshape(-1, n_left), left_pos, depth + 1)
+        row[4] = self.grow(order[~goes_left].reshape(-1, n - n_left), pos - left_pos, depth + 1)
+        return node
+
+    def best_split(self, order: np.ndarray, pos: int):
+        """(feature, threshold, left rows, left positives, left levels,
+        right levels) of the cheapest split over one draw of features, or
+        None when no split lowers the node's Gini cost."""
+        features = self.rng.choice(self.n_features, size=self.mtry, replace=False).tolist()
+        cands = [(f, *(self.numeric_candidates(order[f], f) if f < self.n_numeric
+                       else self.categorical_candidates(order[-1], f)))
+                 for f in features]
+        cands = [c for c in cands if c[1] is not None]
+        if not cands:
+            return None
+        # every candidate costed in one call; counts are exact in float64, so
+        # the costs equal those of integer inputs
+        n = order.shape[1]
+        n_left = np.concatenate([c[1] for c in cands], dtype=float)
+        pos_left = np.concatenate([c[2] for c in cands], dtype=float)
+        cost = _gini_split_cost(n_left, pos_left, n - n_left, pos - pos_left)
+        starts = [0]
+        for c in cands:
+            starts.append(starts[-1] + c[1].size)
+        best = np.minimum.reduceat(cost, starts[:-1])
+        # the first feature drawn among those reaching the lowest cost wins
+        w = int(best.argmin())
+        p1 = pos / n
+        if best[w] >= n * 2.0 * p1 * (1.0 - p1):
+            return None
+        f, _, _, finish = cands[w]
+        return (f, *finish(int(cost[starts[w]:starts[w + 1]].argmin())))
+
+    def numeric_candidates(self, rows: np.ndarray, f: int):
+        """(left sizes, left positives, finish) of the thresholds between
+        distinct values of column f; rows: the node's rows in f's order."""
+        v = self.columns[f][rows]
+        distinct = (v[1:] > v[:-1]).nonzero()[0]  # split after position i
+        if distinct.size == 0:
+            return None, None, None
+        cum_pos = self.y[rows].cumsum()
+
+        def finish(i):
+            thr = 0.5 * (v[distinct[i]] + v[distinct[i] + 1])
+            # the rows with v <= thr: a prefix, also where thr rounds to v's next value
+            p = int(v.searchsorted(thr, side="right"))
+            return float(thr), rows[:p], int(cum_pos[p - 1]), None, None
+
+        return distinct + 1, cum_pos[distinct], finish
+
+    def categorical_candidates(self, rows: np.ndarray, f: int):
+        """(left sizes, left positives, finish) of the level subsets that
+        take the levels present at the node in order of positive rate;
+        rows: the node's rows in sample order."""
+        col = self.columns[f][rows]
+        counts = np.bincount(col)
+        levels = counts.nonzero()[0]
+        if levels.size < 2:
+            return None, None, None
+        n_per = counts[levels]
+        pos_per = np.bincount(col, weights=self.y[rows])[levels]
+        by_rate = (pos_per / n_per).argsort(kind="mergesort")
+        cum_n = n_per[by_rate].cumsum()[:-1]
+        cum_pos = pos_per[by_rate].cumsum()[:-1]
+
+        def finish(i):
+            left_levels = levels[by_rate[:i + 1]]
+            goes_left = np.zeros(counts.size, dtype=bool)
+            goes_left[left_levels] = True
+            return (-math.inf, rows[goes_left[col]], int(cum_pos[i]),
+                    left_levels, levels[by_rate[i + 1:]])
+
+        return cum_n, cum_pos, finish
 
 
 class RandomForest:
@@ -368,9 +507,10 @@ class RandomForest:
         return self
 
     def predict(self, numeric: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        X = np.hstack([numeric, codes])
         votes = np.zeros(numeric.shape[0])
         for tree in self.trees:
-            votes += tree.predict(numeric, codes)
+            votes += tree.predict(X)
         return (2 * votes >= len(self.trees)).astype(int)
 
 
@@ -623,7 +763,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         }
     elif model.spec.kind == KIND_RF:
         payload = {
-            "trees": [t.root for t in clf.trees],
+            "trees": [t.to_dict() for t in clf.trees],
             "n_numeric": clf.trees[0].n_numeric if clf.trees else 0,
             # fixed: every tree bootstraps, and any impure node may split
             "params": {"trees_count": clf.trees_count, "predictors_per_split": clf.mtry,
@@ -677,12 +817,9 @@ def model_from_dict(doc: dict) -> TrainedModel:
         clf = RandomForest(trees_count=params["trees_count"],
                            predictors_per_split=params["predictors_per_split"],
                            seed=params["seed"], max_depth=params["max_depth"])
-        clf.trees = []
-        for root in payload["trees"]:
-            tree = DecisionTree(params["predictors_per_split"], np.random.default_rng(0))
-            tree.root = root
-            tree.n_numeric = payload["n_numeric"]
-            clf.trees.append(tree)
+        clf.trees = [DecisionTree.from_dict(root, payload["n_numeric"],
+                                            params["predictors_per_split"])
+                     for root in payload["trees"]]
     else:
         params = payload["params"]
         clf = MLP(hidden_neurons=params["hidden_neurons"], learning_rate=params["learning_rate"],

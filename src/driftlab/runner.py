@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,9 +43,21 @@ def _format_flag(value) -> str:
     return "true" if value else "false"
 
 
+def _format_int(value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"bad integer {value!r}: expected an int or None")
+    return str(int(value))
+
+
+def _format_float(value) -> str:
+    if not isinstance(value, (float, np.floating)):
+        raise ValueError(f"bad float {value!r}: expected a float or None")
+    return repr(float(value))
+
+
 _TEXT = (str, str)
-_INT = (int, str)
-_FLOAT = (float, repr)
+_INT = (int, _format_int)
+_FLOAT = (float, _format_float)
 _FLAG = (_parse_flag, _format_flag)
 
 # Each column's (parse, format) pair for a non-empty cell; None is the empty cell.
@@ -171,13 +184,21 @@ def load_results(path: str | Path) -> list[dict]:
 
 def export_results(rows: list[dict], path: str | Path) -> Path:
     """Write the table as csv with the canonical column order; loading the
-    file reproduces the rows exactly."""
+    file reproduces the rows exactly. Rows stream to a temporary file next
+    to the target, which replaces the target only once every row is
+    written: a refused row leaves no file, and an existing one untouched."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(_format_row(row))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RESULT_COLUMNS)
+            for row in rows:
+                writer.writerow(_format_row(row))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -8,8 +8,8 @@ from conftest import make_row
 from driftlab.ingest import apply_normalizer, fit_normalizer
 from driftlab.learn import (MLP, ConfusionCounts, DecisionTree, ModelSpec,
                             canonical_kind, compute_metrics, confusion_from_predictions,
-                            default_grid, grid_search_cv, load_model, one_hot, predict,
-                            save_model, train, _build_vocabs, _encode, _extract)
+                            default_grid, grid_search_cv, load_model, model_to_dict, one_hot,
+                            predict, save_model, train, _build_vocabs, _encode, _extract)
 
 
 def labels(rows):
@@ -124,7 +124,7 @@ class TestRandomForest:
         idx = rng.integers(0, y.size, size=y.size)  # tree 0's bootstrap draw
         tree = DecisionTree(5, rng).fit(numeric[idx], codes[idx], y[idx])
         assert np.array_equal(predict(model, toy_separable_rows),
-                              tree.predict(numeric, codes))
+                              tree.predict(np.hstack([numeric, codes])))
 
     def test_training_determinism(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=11,
@@ -154,7 +154,7 @@ class TestRandomForest:
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
         model = train(spec, rows)
-        root = model.classifier.trees[0].root
+        root = model_to_dict(model)["payload"]["trees"][0]
         assert (root["kind"], root["feature"]) == ("cat", 1)
         minority = "right" if root["majority"] == "left" else "left"
         state_of = {code: state for state, code in model.vocabs[1].items()}

@@ -470,6 +470,38 @@ class TestExport:
         with pytest.raises(ValueError, match=f"column {column}: bad flag"):
             export_results([{**fake_row(), column: value}], tmp_path / "res.csv")
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("tp", True, "bad integer"), ("bss", 1.0, "bad integer"), ("t", "2003", "bad integer"),
+        ("accuracy", 1, "bad float"), ("f1", True, "bad float"), ("recall", "0.5", "bad float"),
+    ])
+    def test_non_numeric_type_refused_at_write(self, tmp_path, column, value, message):
+        with pytest.raises(ValueError, match=f"column {column}: {message}"):
+            export_results([{**fake_row(), column: value}], tmp_path / "res.csv")
+
+    def test_numpy_scalars_written_as_python_numbers(self, tmp_path):
+        out = tmp_path / "res.csv"
+        row = {**fake_row(), "accuracy": np.float64(0.5), "precision": np.float32(0.25),
+               "tp": np.int64(7), "bss": np.int32(2)}
+        export_results([row], out)
+        loaded = load_results(out)[0]
+        assert [(repr(loaded[c]), type(loaded[c])) for c in ("accuracy", "precision", "tp", "bss")] \
+            == [("0.5", float), ("0.25", float), ("7", int), ("2", int)]
+
+    def test_refused_row_leaves_no_file(self, tmp_path):
+        out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match="column drift: bad flag"):
+            export_results([fake_row(), fake_row(t=2004), {**fake_row(t=2005), "drift": 1}], out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_row_leaves_an_existing_file_untouched(self, tmp_path):
+        out = tmp_path / "res.csv"
+        export_results([fake_row(), fake_row(t=2004)], out)
+        before = out.read_bytes()
+        with pytest.raises(ValueError, match="column tp: bad integer"):
+            export_results([fake_row(t=2006), {**fake_row(t=2007), "tp": True}], out)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res.csv"]
+
 
 def fake_row(airport="SB", classifier="NB", bss=1, detector="mean", strategy="active",
              replicate=0, t=2003, drift=False, f1=0.5, accuracy=0.8, precision=0.6,
