@@ -42,6 +42,25 @@ class TestShapiroWilk:
         assert res.statistic == pytest.approx(ref.statistic, abs=1e-6)
         assert res.p_value == pytest.approx(ref.pvalue, abs=1e-3)
 
+    # W and p of seeded samples, recorded with numpy 2.4.6
+    @pytest.mark.parametrize("n, shape, w, p", [
+        (4, "normal", 0.9661453758940579, 0.8174878315164783),
+        (4, "skewed", 0.90843363341059, 0.47414248847826357),
+        (5, "normal", 0.9825728953492612, 0.9478992015098385),
+        (5, "skewed", 0.9372669462169292, 0.6466858245418966),
+        (6, "normal", 0.814685396440749, 0.07933918074898519),
+        (6, "skewed", 0.774658327896302, 0.03435253937948017),
+        (52, "normal", 0.972578895772031, 0.2710018808084343),
+        (52, "skewed", 0.5395051983070679, 1.570380602371988e-11),
+        (104, "normal", 0.9930134032170482, 0.8749827029303208),
+        (104, "skewed", 0.7718907861653996, 2.0669407262374137e-11),
+    ])
+    def test_recorded_values_bit_identical(self, n, shape, w, p):
+        rng = np.random.default_rng(n)
+        normal, skewed = rng.normal(size=n), rng.exponential(size=n)
+        res = shapiro_wilk(normal if shape == "normal" else skewed)
+        assert (res.statistic, res.p_value) == (w, p)
+
 
 class TestKsNormality:
     def test_equally_spaced_30_matches_mc_oracle(self):

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from driftlab import synth
+from driftlab import special, synth
 from driftlab.synth import DriftEvent, SyntheticSpec, generate_stream
 
 
@@ -79,6 +79,21 @@ class TestPriorShift:
             SyntheticSpec(years=5, drift_events=(
                 DriftEvent(at_year=2, kind="prior_shift", magnitude=0.9),))
 
+    def test_rate_checked_in_year_order_not_listing_order(self):
+        # listed later but applied first: year 2 would need a rate of 1.1
+        with pytest.raises(ValueError, match="prior_shift at year 2 pushes the delay rate"):
+            SyntheticSpec(years=6, base_delay_rate=0.5, drift_events=(
+                DriftEvent(at_year=5, kind="prior_shift", magnitude=-0.3),
+                DriftEvent(at_year=2, kind="prior_shift", magnitude=0.6)))
+        # in listing order the rate would reach 1.1; in year order it stays inside (0, 1)
+        spec = SyntheticSpec(years=3, flights_per_week=200, base_delay_rate=0.5, seed=4,
+                             drift_events=(
+                                 DriftEvent(at_year=3, kind="prior_shift", magnitude=0.6),
+                                 DriftEvent(at_year=2, kind="prior_shift", magnitude=-0.3)))
+        rates = yearly_rates(generate_stream(spec)[0])
+        for year, rate in zip((2001, 2002, 2003), (0.5, 0.2, 0.8)):
+            assert rates[year] == pytest.approx(rate, abs=0.02)
+
     def test_event_year_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             SyntheticSpec(years=3, drift_events=(
@@ -143,6 +158,40 @@ class TestSeasonality:
             rates = np.array([np.mean(v) for _, v in sorted(per_week.items())])
             return rates.max() - rates.min()
         assert weekly_spread(seasonal) > weekly_spread(flat) + 0.05
+
+
+def plain_bisection(target, probe_logits):
+    """The definition _calibrate_intercept must reproduce to the bit."""
+    lo, hi = -30.0, 30.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(synth.sigmoid(mid + probe_logits).mean()) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCalibration:
+    def test_same_float_as_plain_bisection(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            weights = rng.normal(0.0, rng.choice([0.5, 3.0, 40.0, 400.0]), size=k)
+            n = int(rng.choice([5, 300, 5000]))
+            probe = rng.uniform(size=(n, k)) @ weights + rng.choice([-0.3, 0.1, 0.3], n)
+            target = float(rng.choice([rng.uniform(0.001, 0.999), 1e-6, 0.5, 1 - 1e-6]))
+            assert synth._calibrate_intercept(target, probe) == plain_bisection(target, probe)
+
+    def test_skips_evaluations_whose_outcome_is_certain(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        probe = rng.uniform(size=(100_000, 3)) @ np.array([2.5, -2.0, 1.5])
+        calls = []
+        monkeypatch.setattr(synth, "sigmoid", lambda z: calls.append(1) or special.sigmoid(z))
+        c = synth._calibrate_intercept(0.2, probe)
+        monkeypatch.undo()
+        assert c == plain_bisection(0.2, probe)
+        assert len(calls) <= 35  # the plain bisection makes 80
 
 
 class TestSpecIO:
