@@ -526,7 +526,6 @@ class MLP:
         self.epochs = epochs
         self.seed = seed
         self.batch_size = batch_size
-        self.loss_history: list[float] = []
         self.W1 = self.b1 = self.W2 = self.b2 = None
 
     def _init_params(self, n_inputs: int, rng: np.random.Generator):
@@ -541,42 +540,38 @@ class MLP:
         return h, p
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Mean binary cross-entropy: the objective that `gradients`
+        differentiates, evaluated by the finite-difference checks."""
         _, p = self._forward(X)
         p = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
         return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
-    def loss_and_gradients(self, X: np.ndarray, y: np.ndarray):
-        """Binary cross-entropy and its analytic gradients w.r.t. all four
-        parameter arrays; exposed so the training loop and the
-        finite-difference checks share one code path."""
+    def gradients(self, X: np.ndarray, y: np.ndarray) -> dict:
+        """Analytic gradients of `loss` w.r.t. all four parameter arrays."""
         n = X.shape[0]
         h, p = self._forward(X)
-        p_safe = np.clip(p, _PROB_EPS, 1.0 - _PROB_EPS)
-        loss = float(-np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
         delta_out = ((p - y) / n)[:, None]          # d loss / d z2
         grad_W2 = h.T @ delta_out
         grad_b2 = delta_out.sum(axis=0)
         delta_h = (delta_out @ self.W2.T) * h * (1.0 - h)
         grad_W1 = X.T @ delta_h
         grad_b1 = delta_h.sum(axis=0)
-        return loss, {"W1": grad_W1, "b1": grad_b1, "W2": grad_W2, "b2": grad_b2}
+        return {"W1": grad_W1, "b1": grad_b1, "W2": grad_W2, "b2": grad_b2}
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MLP":
         rng = np.random.default_rng(self.seed)
         self._init_params(X.shape[1], rng)
         y = y.astype(float)
         n = X.shape[0]
-        self.loss_history = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start:start + self.batch_size]
-                _, grads = self.loss_and_gradients(X[batch], y[batch])
+                grads = self.gradients(X[batch], y[batch])
                 self.W1 -= self.lr * grads["W1"]
                 self.b1 -= self.lr * grads["b1"]
                 self.W2 -= self.lr * grads["W2"]
                 self.b2 -= self.lr * grads["b2"]
-            self.loss_history.append(self.loss(X, y))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
