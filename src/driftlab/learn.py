@@ -46,11 +46,23 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
-# kind -> (required, optional) hyperparameters: exactly the keys train reads.
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+_COUNT = ("an int >= 1", _is_count)
+_DEPTH = ("an int >= 1 or None", lambda value: value is None or _is_count(value))
+_POSITIVE = ("a finite number > 0",
+             lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value) and value > 0)
+
+# kind -> (required, optional) hyperparameters, each with the (rule, check) of
+# its value: exactly the keys train reads.
 _HYPERPARAMETERS = {
-    KIND_NB: (("smoothing",), ()),
-    KIND_RF: (("trees_count", "predictors_per_split"), ("max_depth",)),
-    KIND_MLP: (("hidden_neurons", "learning_rate", "epochs"), ("batch_size",)),
+    KIND_NB: ({"smoothing": _POSITIVE}, {}),
+    KIND_RF: ({"trees_count": _COUNT, "predictors_per_split": _COUNT}, {"max_depth": _DEPTH}),
+    KIND_MLP: ({"hidden_neurons": _COUNT, "learning_rate": _POSITIVE, "epochs": _COUNT},
+               {"batch_size": _COUNT}),
 }
 
 
@@ -69,6 +81,10 @@ class ModelSpec:
         unknown = sorted(set(self.hyperparameters) - set(required) - set(optional))
         if unknown:
             raise ValueError(f"{self.kind} spec has hyperparameters it does not read: {unknown}")
+        for key, value in self.hyperparameters.items():
+            rule, valid = {**required, **optional}[key]
+            if not valid(value):
+                raise ValueError(f"{self.kind} hyperparameter {key} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -644,19 +660,19 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
         clf = NaiveBayes(smoothing=hp["smoothing"]).fit(numeric, codes, y, vocab_sizes)
     elif spec.kind == KIND_RF:
         clf = RandomForest(
-            trees_count=int(hp["trees_count"]),
-            predictors_per_split=int(hp["predictors_per_split"]),
+            trees_count=hp["trees_count"],
+            predictors_per_split=hp["predictors_per_split"],
             seed=spec.seed,
             max_depth=hp.get("max_depth"),
         ).fit(numeric, codes, y)
     else:
         X = np.hstack([numeric, one_hot(codes, vocab_sizes)])
         clf = MLP(
-            hidden_neurons=int(hp["hidden_neurons"]),
+            hidden_neurons=hp["hidden_neurons"],
             learning_rate=float(hp["learning_rate"]),
-            epochs=int(hp["epochs"]),
+            epochs=hp["epochs"],
             seed=spec.seed,
-            batch_size=int(hp.get("batch_size", 32)),
+            batch_size=hp.get("batch_size", 32),
         ).fit(X, y)
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer,
                         vocabs=vocabs, training_window=training_window,

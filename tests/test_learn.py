@@ -39,9 +39,37 @@ class TestKinds:
         with pytest.raises(ValueError, match=f"does not read.*{unread}"):
             ModelSpec(kind=kind, hyperparameters=hp)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("RF", "trees_count", 0),
+        ("RF", "trees_count", 2.7),
+        ("RF", "trees_count", True),
+        ("RF", "predictors_per_split", 0),
+        ("RF", "max_depth", 0),
+        ("RF", "max_depth", 6.0),
+        ("MLP", "hidden_neurons", 0),
+        ("MLP", "epochs", 0),
+        ("MLP", "batch_size", 0),
+        ("MLP", "learning_rate", 0.0),
+        ("MLP", "learning_rate", float("nan")),
+        ("MLP", "learning_rate", "0.1"),
+        ("NB", "smoothing", 0),
+        ("NB", "smoothing", -1.0),
+        ("NB", "smoothing", float("inf")),
+    ])
+    def test_bad_hyperparameter_values_refused(self, kind, key, value):
+        valid = {"NB": {"smoothing": 0.5},
+                 "RF": {"trees_count": 3, "predictors_per_split": 2},
+                 "MLP": {"hidden_neurons": 4, "learning_rate": 0.1, "epochs": 2}}[kind]
+        with pytest.raises(ValueError, match=f"hyperparameter {key} must be"):
+            ModelSpec(kind=kind, hyperparameters={**valid, key: value})
+
     def test_every_read_hyperparameter_accepted(self):
         ModelSpec(kind="RF", hyperparameters={"trees_count": 3, "predictors_per_split": 2,
                                               "max_depth": 6})
+        ModelSpec(kind="RF", hyperparameters={"trees_count": 1, "predictors_per_split": 1,
+                                              "max_depth": None})
+        ModelSpec(kind="MLP", hyperparameters={"hidden_neurons": 1, "learning_rate": 1,
+                                               "epochs": 1, "batch_size": 1})
         ModelSpec(kind="MLP", hyperparameters={"hidden_neurons": 4, "learning_rate": 0.5,
                                                "epochs": 6, "batch_size": 64})
         for kind in ("NB", "RF", "MLP"):
