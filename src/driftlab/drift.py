@@ -159,7 +159,7 @@ def _is_normal(vector: np.ndarray, alpha: float) -> bool:
 
 
 def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportions,
-           alpha: float = 0.05, memo: DetectionMemo | None = None) -> DriftDecision:
+           alpha: float = stats.DEFAULT_ALPHA, memo: DetectionMemo | None = None) -> DriftDecision:
     """Compare two weekly-proportion vectors and decide drift. A memo shares
     each vector's normality verdict and each pair's mean and variance test
     with the other calls given it.
@@ -203,7 +203,7 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
 
 
 def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None,
-                 alpha: float = 0.05,
+                 alpha: float = stats.DEFAULT_ALPHA,
                  min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                  memo: DetectionMemo | None = None,
                  ) -> tuple[bool, DriftDecision | None]:

@@ -30,6 +30,7 @@ from . import learn
 from .drift import (DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision, STRATEGIES,
                     STRATEGY_BASELINE, decide_drift, once)
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
+from .stats import DEFAULT_ALPHA
 from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
 log = logging.getLogger(__name__)
@@ -82,7 +83,7 @@ def recorded_step_years(stream: list[Batch], b: int, strategy: str,
 
 def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: ModelSpec,
                year_range: tuple[int, int] | None = None,
-               alpha: float = 0.05,
+               alpha: float = DEFAULT_ALPHA,
                min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                replicate: int = 0,
                store: "ModelStore | None" = None,
