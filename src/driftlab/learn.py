@@ -50,11 +50,14 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def _is_positive(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
 _COUNT = ("an int >= 1", _is_count)
 _DEPTH = ("an int >= 1 or None", lambda value: value is None or _is_count(value))
-_POSITIVE = ("a finite number > 0",
-             lambda value: isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value > 0)
+_POSITIVE = ("a finite number > 0", _is_positive)
 
 # kind -> (required, optional) hyperparameters, each with the (rule, check) of
 # its value: exactly the keys train reads.
@@ -78,11 +81,12 @@ class ModelSpec:
         missing = [k for k in required if k not in self.hyperparameters]
         if missing:
             raise ValueError(f"{self.kind} spec is missing hyperparameters: {missing}")
-        unknown = sorted(set(self.hyperparameters) - set(required) - set(optional))
+        rules = {**required, **optional}
+        unknown = sorted(set(self.hyperparameters) - set(rules))
         if unknown:
             raise ValueError(f"{self.kind} spec has hyperparameters it does not read: {unknown}")
         for key, value in self.hyperparameters.items():
-            rule, valid = {**required, **optional}[key]
+            rule, valid = rules[key]
             if not valid(value):
                 raise ValueError(f"{self.kind} hyperparameter {key} must be {rule}, got {value!r}")
 
