@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as ss
 
 import oracles
+from driftlab import stats
 from driftlab.stats import (DegenerateSampleError, f_variance, ks_normality, levene,
                             pearson_correlation, shapiro_wilk, welch_t,
                             wilcoxon_rank_sum)
@@ -113,6 +116,21 @@ class TestKsNormality:
         for x, expected in zip(samples, recorded):
             res = ks_normality(x, mc_replicates=20_000)
             assert (res.statistic, res.p_value) == expected
+
+
+class TestLillieforsNullTable:
+    # sha256 of the sorted table bytes, recorded with numpy 2.4.6 when every
+    # table of up to 4M draws was built in one chunk; (156, 20 000) and
+    # (52, 200 000) pin that the chunk size does not change the draws
+    @pytest.mark.parametrize("n, replicates, digest", [
+        (4, 1_000, "c1dacf361162ab4e5c313b1773e182939c9688acd2fabf0c4c7ec7cac4a08094"),
+        (52, 20_000, "7fff75c24734561b8b1c7b820c447fc9ee6822722bf7eecf5d722b72a3dd0a45"),
+        (156, 20_000, "1363cc18b51168f87187ce3a10d153e3746edeb3594f446ce3d1ab891799e39d"),
+        (52, 200_000, "ba02c0c4299c23ad7440e99660d920e766034320a863d37b5dc7a8187128ca0c"),
+    ])
+    def test_recorded_tables_bit_identical(self, n, replicates, digest):
+        table = stats._lilliefors_null_table.__wrapped__(n, replicates, stats._LILLIEFORS_SEED)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
 
 
 class TestWelchT:
