@@ -2,10 +2,12 @@
 
 Two consecutive training windows are compared through their weekly delay
 proportions: each vector's normality is assessed with Shapiro-Wilk AND the
-Lilliefors KS test (normal iff neither rejects, and the parametric branch
-requires both vectors normal); means are then compared with Welch's t or
-Wilcoxon, variances with the F test or Levene. A detector flags drift on
-its own test, or on either for the combined detector.
+Lilliefors KS test (normal iff both p-values are at least alpha, and the
+parametric branch requires both vectors normal); means are then compared
+with Welch's t or Wilcoxon, variances with the F test or Levene. A detector
+flags drift when its own test's p-value is below alpha, or either test's
+for the combined detector. The tests in :mod:`driftlab.stats` only compute
+statistics and p-values; this module is the one place alpha is applied.
 
 A decision depends only on the labels of the two windows, so a
 DetectionMemo shares the work of one sweep over one stream: each yearly
@@ -40,6 +42,7 @@ STRATEGY_PASSIVE = "passive"
 STRATEGY_ACTIVE = "active"
 STRATEGIES = (STRATEGY_BASELINE, STRATEGY_PASSIVE, STRATEGY_ACTIVE)
 
+DEFAULT_ALPHA = 0.05
 DEFAULT_MIN_WEEK_FLIGHTS = 5
 
 
@@ -153,13 +156,13 @@ def weekly_delay_proportions(seq: BatchSequence,
 
 
 def _is_normal(vector: np.ndarray, alpha: float) -> bool:
-    sw = stats.shapiro_wilk(vector, alpha=alpha)
-    ks = stats.ks_normality(vector, alpha=alpha)
-    return not sw.reject and not ks.reject
+    sw = stats.shapiro_wilk(vector)
+    ks = stats.ks_normality(vector)
+    return sw.p_value >= alpha and ks.p_value >= alpha
 
 
 def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportions,
-           alpha: float = stats.DEFAULT_ALPHA, memo: DetectionMemo | None = None) -> DriftDecision:
+           alpha: float = DEFAULT_ALPHA, memo: DetectionMemo | None = None) -> DriftDecision:
     """Compare two weekly-proportion vectors and decide drift. A memo shares
     each vector's normality verdict and each pair's mean and variance test
     with the other calls given it.
@@ -184,26 +187,19 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
     mean_test = None
     variance_test = None
     if detector in (DETECTOR_MEAN, DETECTOR_MEAN_VARIANCE):
-        mean_test = memo.once(("mean", a, b, alpha), lambda: (
-            stats.welch_t(cur, prev, alpha=alpha) if parametric
-            else stats.wilcoxon_rank_sum(cur, prev, alpha=alpha)))
+        mean_test = memo.once(("mean", a, b, parametric), lambda: (
+            stats.welch_t(cur, prev) if parametric else stats.wilcoxon_rank_sum(cur, prev)))
     if detector in (DETECTOR_VARIANCE, DETECTOR_MEAN_VARIANCE):
-        variance_test = memo.once(("variance", a, b, alpha), lambda: (
-            stats.f_variance(cur, prev, alpha=alpha) if parametric
-            else stats.levene(cur, prev, alpha=alpha)))
+        variance_test = memo.once(("variance", a, b, parametric), lambda: (
+            stats.f_variance(cur, prev) if parametric else stats.levene(cur, prev)))
 
-    if detector == DETECTOR_MEAN:
-        drift = mean_test.reject
-    elif detector == DETECTOR_VARIANCE:
-        drift = variance_test.reject
-    else:
-        drift = mean_test.reject or variance_test.reject
+    drift = any(test.p_value < alpha for test in (mean_test, variance_test) if test is not None)
     return DriftDecision(detector=detector, normal_a=normal_a, normal_b=normal_b,
                          mean_test=mean_test, variance_test=variance_test, drift=drift)
 
 
 def decide_drift(dd: str, dh: str, d_i: BatchSequence, d_j: BatchSequence | None,
-                 alpha: float = stats.DEFAULT_ALPHA,
+                 alpha: float = DEFAULT_ALPHA,
                  min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                  memo: DetectionMemo | None = None,
                  ) -> tuple[bool, DriftDecision | None]:

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import learn, stats
-from .drift import (DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, STRATEGIES, STRATEGY_ACTIVE,
-                    DetectionMemo, once)
+from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, STRATEGIES,
+                    STRATEGY_ACTIVE, DetectionMemo, once)
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, recorded_step_years, run_stream
@@ -231,7 +231,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                    out_path: str | Path,
                    hyperparameters: dict[str, dict] | None = None,
                    base_seed: int = 1000,
-                   alpha: float = stats.DEFAULT_ALPHA,
+                   alpha: float = DEFAULT_ALPHA,
                    min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                    cv_folds: int = 10,
                    model_store_dir: str | Path | None = None) -> list[dict]:
@@ -258,8 +258,9 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     only as long as this call.
 
     hyperparameters maps kind (or an alias such as NN) -> hyperparameter
-    dict; a kind that is unknown or given twice, or a dict that ModelSpec
-    refuses, raises ValueError before anything is written. The manifest
+    dict; a kind that is unknown or given twice, a dict that ModelSpec
+    refuses, or an RF predictors_per_split above the rows' feature count
+    raises ValueError before anything is written. The manifest
     records the dicts under their canonical kinds. Kinds left out are tuned
     once per scale by k-fold grid search on its first non-empty batch (a
     failed search fails each unit of the kind), frozen for every later
@@ -272,6 +273,13 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
         if kind in hyperparameters:
             raise ValueError(f"hyperparameters name {kind} twice: {sorted(given)}")
         hyperparameters[kind] = hp
+    forest = hyperparameters.get(learn.KIND_RF)
+    if forest is not None and rows:
+        features = learn.feature_count(rows)
+        if forest["predictors_per_split"] > features:
+            raise ValueError(f"RF hyperparameter predictors_per_split "
+                             f"{forest['predictors_per_split']} exceeds the feature count "
+                             f"{features} of the rows")
     manifest_path = Path(str(out_path) + ".manifest.json")
     manifest = {
         "version": RESULTS_VERSION,

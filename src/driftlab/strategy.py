@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import learn
-from .drift import (DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision, STRATEGIES,
-                    STRATEGY_BASELINE, decide_drift, once)
+from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision,
+                    STRATEGIES, STRATEGY_BASELINE, decide_drift, once)
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
-from .stats import DEFAULT_ALPHA
 from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
 log = logging.getLogger(__name__)

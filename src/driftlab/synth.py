@@ -205,15 +205,10 @@ def generate_stream(spec: SyntheticSpec) -> tuple[list[FlightFeatureRow], list[D
             2.0 * math.pi * (week - 1) / spec.weeks_per_year)
         logit = intercept + x @ weights + effects[cat] + seasonal
         delayed = (data_rng.uniform(size=per_year) < sigmoid(logit)).astype(int)
-        for i in range(per_year):
-            rows.append(FlightFeatureRow(
-                origin_airport=SYNTH_ORIGIN,
-                destination_state=spec.categorical_levels[cat[i]],
-                week_of_year=int(week[i]),
-                year=year,
-                numeric_features=x[i],
-                delayed=int(delayed[i]),
-            ))
+        levels = spec.categorical_levels
+        # positional, in FlightFeatureRow field order
+        rows += [FlightFeatureRow(SYNTH_ORIGIN, levels[c], w, year, features, d)
+                 for c, w, features, d in zip(cat.tolist(), week.tolist(), x, delayed.tolist())]
     return rows, realized
 
 

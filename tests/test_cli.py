@@ -181,6 +181,22 @@ class TestRunAndAnalyze:
         assert "trees_count must be an int >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_refuses_oversized_predictors_per_split(self, tmp_path, synth_spec_file,
+                                                         capsys):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "rows": str(rows_path), "out": str(out),
+            "grid": {"classifiers": ["RF"], "years": [2002, 2004], "bss": [1],
+                     "strategies": ["passive"], "replicates": 1},
+            "hyperparameters": {"RF": {"trees_count": 2, "predictors_per_split": 50}}}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "predictors_per_split 50 exceeds the feature count 6" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_leaves_defaults_to_the_library(self, tmp_path, synth_spec_file):
         rows_path = tmp_path / "rows.npz"
         assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0

@@ -25,6 +25,13 @@ def synth_rows(years=6, seed=0, events=(), flights=40, weeks=26):
     return rows
 
 
+def fail_tree_fits(monkeypatch):
+    """Make every RF cell fail inside its fit, as a tree that cannot be grown."""
+    def fit(self, numeric, codes, y):
+        raise ValueError("tree cannot be grown")
+    monkeypatch.setattr(learn.DecisionTree, "fit", fit)
+
+
 def tiny_grid(**overrides):
     defaults = dict(airports=(None,), classifiers=("NB",), years=(2002, 2005),
                     bss=(1,), detectors=("mean",), strategies=("active",), replicates=5)
@@ -102,23 +109,21 @@ class TestDriftAnalysis:
         for row in resumed:
             assert row == by_key_full[row_key(row)]
 
-    def test_failing_cell_records_error_marker(self, tmp_path):
+    def test_failing_cell_records_error_marker(self, tmp_path, monkeypatch):
+        fail_tree_fits(monkeypatch)
         rows = synth_rows(years=5)
-        bad_hp = dict(FAST_HP)
-        bad_hp["RF"] = {"trees_count": 2, "predictors_per_split": 99}  # > feature count
         grid = tiny_grid(years=(2001, 2004), classifiers=("NB", "RF"))
-        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=bad_hp)
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
         errors = [r for r in results if r["error"]]
         assert errors and all(r["classifier"] == "RF" for r in errors)
         assert any(not r["error"] and r["classifier"] == "NB" for r in results)
 
     def test_resume_does_not_rerun_failed_cells(self, tmp_path, monkeypatch):
+        fail_tree_fits(monkeypatch)
         rows = synth_rows(years=5)
-        bad_hp = dict(FAST_HP)
-        bad_hp["RF"] = {"trees_count": 2, "predictors_per_split": 99}  # > feature count
         grid = tiny_grid(years=(2001, 2004), classifiers=("NB", "RF"))
         out = tmp_path / "res.csv"
-        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
         full = out.read_bytes()
         calls = []
         run_stream = runner.run_stream
@@ -127,14 +132,14 @@ class TestDriftAnalysis:
             calls.append(kwargs["replicate"])
             return run_stream(*args, **kwargs)
         monkeypatch.setattr(runner, "run_stream", counting)
-        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
         assert calls == []
         assert out.read_bytes() == full
         # deleting an error row retries its cell, which fails again the same way
         lines = full.splitlines(keepends=True)
         error_line = next(line for line in lines if b",RF," in line and b",-1," in line)
         out.write_bytes(b"".join(line for line in lines if line != error_line))
-        drift_analysis(rows, grid, out, hyperparameters=bad_hp)
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
         assert len(calls) == 1
         assert sorted(out.read_bytes().splitlines()) == sorted(full.splitlines())
 
@@ -225,6 +230,9 @@ class TestDriftAnalysis:
         ({"SVM": {"C": 1.0}}, "unknown classifier kind"),
         ({"NN": FAST_HP["MLP"], "MLP": FAST_HP["MLP"]}, "name MLP twice"),
         ({"RF": {**FAST_HP["RF"], "bootstrap": False}}, "does not read.*bootstrap"),
+        # 3 numeric features and 3 categorical columns
+        ({"RF": {"trees_count": 2, "predictors_per_split": 50}},
+         "predictors_per_split 50 exceeds the feature count 6"),
     ])
     def test_bad_hyperparameters_refused_before_writing(self, tmp_path, hyperparameters,
                                                         message):
