@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ _VAR_FLOOR = 1e-9
 _PROB_EPS = 1e-12
 
 MODEL_FORMAT = "driftlab-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def canonical_kind(kind: str) -> str:
@@ -60,7 +61,8 @@ _DEPTH = ("an int >= 1 or None", lambda value: value is None or _is_count(value)
 _POSITIVE = ("a finite number > 0", _is_positive)
 
 # kind -> (required, optional) hyperparameters, each with the (rule, check) of
-# its value: exactly the keys train reads.
+# its value: exactly the keyword arguments of the kind's classifier (see
+# _classifier), whose defaults fill in an optional one.
 _HYPERPARAMETERS = {
     KIND_NB: ({"smoothing": _POSITIVE}, {}),
     KIND_RF: ({"trees_count": _COUNT, "predictors_per_split": _COUNT}, {"max_depth": _DEPTH}),
@@ -267,15 +269,15 @@ class DecisionTree:
     other node points at a final all-False block.
     """
 
-    def __init__(self, predictors_per_split: int, rng: np.random.Generator,
+    def __init__(self, predictors_per_split: int, rng: np.random.Generator | None,
                  max_depth: int | None = None):
+        """rng makes fit's draws; a tree loaded from a file has none."""
         self.mtry = predictors_per_split
         self.rng = rng
         self.max_depth = max_depth
 
     def fit(self, numeric: np.ndarray, codes: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        self.n_numeric = numeric.shape[1]
-        n_features = self.n_numeric + codes.shape[1]
+        n_features = numeric.shape[1] + codes.shape[1]
         if self.mtry > n_features:
             raise ValueError(f"predictors_per_split {self.mtry} exceeds feature count {n_features}")
         self._set_nodes(_Grower(self, numeric, codes, y).nodes)
@@ -330,51 +332,6 @@ class DecisionTree:
                 go_left = (x <= self.threshold[node]) | self.routes[self.route[node] + code]
                 node = children[2 * node + ~go_left]
         return out
-
-    def to_dict(self, node: int = 0) -> dict:
-        """The nested form model files hold."""
-        if self.value[node] >= 0:
-            return {"leaf": int(self.value[node])}
-        f = int(self.feature[node])
-        if f < self.n_numeric:
-            split = {"kind": "num", "feature": f, "threshold": float(self.threshold[node])}
-        else:
-            block = slice(self.route[node], self.route[node] + self.width)
-            goes_left, seen = self.routes[block], self.seen[block]
-            split = {"kind": "cat", "feature": f - self.n_numeric,
-                     "left_levels": np.flatnonzero(seen & goes_left).tolist(),
-                     "right_levels": np.flatnonzero(seen & ~goes_left).tolist()}
-        split["majority"] = "left" if self.majority_left[node] else "right"
-        left, right = self.children[node].tolist()
-        split["left"] = self.to_dict(left)
-        split["right"] = self.to_dict(right)
-        return split
-
-    @classmethod
-    def from_dict(cls, root: dict, n_numeric: int, predictors_per_split: int) -> "DecisionTree":
-        tree = cls(predictors_per_split, np.random.default_rng(0))
-        tree.n_numeric = n_numeric
-        nodes = []
-
-        def add(d):
-            i = len(nodes)
-            if "leaf" in d:
-                nodes.append(_leaf_node(d["leaf"]))
-                return i
-            majority_left = d["majority"] == "left"
-            if d["kind"] == "num":
-                row = [d["feature"], d["threshold"], majority_left, -1, -1, -1, None, None]
-            else:
-                row = [n_numeric + d["feature"], -math.inf, majority_left, -1, -1, -1,
-                       d["left_levels"], d["right_levels"]]
-            nodes.append(row)
-            row[3] = add(d["left"])
-            row[4] = add(d["right"])
-            return i
-
-        add(root)
-        tree._set_nodes(nodes)
-        return tree
 
 
 def _leaf_node(value: int) -> list:
@@ -542,7 +499,7 @@ class MLP:
     def __init__(self, hidden_neurons: int, learning_rate: float, epochs: int,
                  seed: int, batch_size: int = 32):
         self.hidden = hidden_neurons
-        self.lr = learning_rate
+        self.lr = float(learning_rate)
         self.epochs = epochs
         self.seed = seed
         self.batch_size = batch_size
@@ -639,6 +596,15 @@ def feature_count(rows) -> int:
     return int(np.asarray(rows[0].numeric_features).size) + len(CAT_COLUMNS)
 
 
+def _classifier(spec: ModelSpec):
+    """The spec's unfitted classifier: its hyperparameters are the
+    constructor's keyword arguments, and the forest and MLP take its seed."""
+    if spec.kind == KIND_NB:
+        return NaiveBayes(**spec.hyperparameters)
+    cls = RandomForest if spec.kind == KIND_RF else MLP
+    return cls(seed=spec.seed, **spec.hyperparameters)
+
+
 def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None) -> TrainedModel:
     """Fit the spec'd classifier on the rows: refit the min-max normalizer
     on this window, encode categories from this window's vocabularies, then
@@ -659,25 +625,13 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
         log.warning("train: single-class training window (all delayed=%d); "
                     "model degenerates to a constant predictor", int(y[0]))
 
-    hp = spec.hyperparameters
+    clf = _classifier(spec)
     if spec.kind == KIND_NB:
-        clf = NaiveBayes(smoothing=hp["smoothing"]).fit(numeric, codes, y, vocab_sizes)
+        clf.fit(numeric, codes, y, vocab_sizes)
     elif spec.kind == KIND_RF:
-        clf = RandomForest(
-            trees_count=hp["trees_count"],
-            predictors_per_split=hp["predictors_per_split"],
-            seed=spec.seed,
-            max_depth=hp.get("max_depth"),
-        ).fit(numeric, codes, y)
+        clf.fit(numeric, codes, y)
     else:
-        X = np.hstack([numeric, one_hot(codes, vocab_sizes)])
-        clf = MLP(
-            hidden_neurons=hp["hidden_neurons"],
-            learning_rate=float(hp["learning_rate"]),
-            epochs=hp["epochs"],
-            seed=spec.seed,
-            batch_size=hp.get("batch_size", 32),
-        ).fit(X, y)
+        clf.fit(np.hstack([numeric, one_hot(codes, vocab_sizes)]), y)
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer,
                         vocabs=vocabs, training_window=training_window,
                         single_class=single_class)
@@ -765,6 +719,39 @@ def grid_search_cv(kind: str, grid: list[dict], rows, k: int, seed: int = 0) -> 
 # Serialization (versioned, self-describing JSON)
 # ---------------------------------------------------------------------------
 
+_NODE_COLUMNS = ("feature", "threshold", "majority_left", "right", "value",
+                 "left_levels", "right_levels")
+
+
+def _node_columns(tree: DecisionTree) -> dict:
+    """The columns of the tree's node rows (see DecisionTree._set_nodes),
+    less the left child: at an inner node it is the next node. threshold
+    is None off numeric nodes, and majority_left is 0 or 1."""
+    left_levels = [None] * tree.value.size
+    right_levels = [None] * tree.value.size
+    # every node but the categorical ones points at the last, all-False block
+    for i in np.flatnonzero(tree.route < tree.routes.size - tree.width).tolist():
+        block = slice(tree.route[i], tree.route[i] + tree.width)
+        goes_left, seen = tree.routes[block], tree.seen[block]
+        left_levels[i] = np.flatnonzero(seen & goes_left).tolist()
+        right_levels[i] = np.flatnonzero(seen & ~goes_left).tolist()
+    return {"feature": tree.feature.tolist(),
+            "threshold": [None if t == -math.inf else t for t in tree.threshold.tolist()],
+            "majority_left": tree.majority_left.astype(int).tolist(),
+            "right": tree.children[:, 1].tolist(),
+            "value": tree.value.tolist(),
+            "left_levels": left_levels,
+            "right_levels": right_levels}
+
+
+def _node_rows(columns: dict) -> list:
+    """The node rows that _node_columns wrote, for DecisionTree._set_nodes."""
+    return [[feature, -math.inf if threshold is None else threshold, majority_left,
+             -1 if value >= 0 else i + 1, right, value, left_levels, right_levels]
+            for i, (feature, threshold, majority_left, right, value, left_levels, right_levels)
+            in enumerate(zip(*(columns[k] for k in _NODE_COLUMNS)))]
+
+
 def model_to_dict(model: TrainedModel) -> dict:
     clf = model.classifier
     if model.spec.kind == KIND_NB:
@@ -774,24 +761,12 @@ def model_to_dict(model: TrainedModel) -> dict:
             "means": clf.means.tolist(),
             "variances": clf.variances.tolist(),
             "cat_log_probs": [t.tolist() for t in clf.cat_log_probs],
-            "smoothing": clf.smoothing,
         }
     elif model.spec.kind == KIND_RF:
-        payload = {
-            "trees": [t.to_dict() for t in clf.trees],
-            "n_numeric": clf.trees[0].n_numeric if clf.trees else 0,
-            # fixed: every tree bootstraps, and any impure node may split
-            "params": {"trees_count": clf.trees_count, "predictors_per_split": clf.mtry,
-                       "seed": clf.seed, "bootstrap": True,
-                       "min_samples_split": 2, "max_depth": clf.max_depth},
-        }
+        payload = {"trees": [_node_columns(tree) for tree in clf.trees]}
     else:
-        payload = {
-            "W1": clf.W1.tolist(), "b1": clf.b1.tolist(),
-            "W2": clf.W2.tolist(), "b2": clf.b2.tolist(),
-            "params": {"hidden_neurons": clf.hidden, "learning_rate": clf.lr,
-                       "epochs": clf.epochs, "seed": clf.seed, "batch_size": clf.batch_size},
-        }
+        payload = {"W1": clf.W1.tolist(), "b1": clf.b1.tolist(),
+                   "W2": clf.W2.tolist(), "b2": clf.b2.tolist()}
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -816,29 +791,21 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise ValueError(f"not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')}")
-    spec = ModelSpec(kind=doc["spec"]["kind"],
-                     hyperparameters=doc["spec"]["hyperparameters"],
-                     seed=doc["spec"]["seed"])
+    spec = ModelSpec(**doc["spec"])
+    clf = _classifier(spec)
     payload = doc["payload"]
     if spec.kind == KIND_NB:
-        clf = NaiveBayes(smoothing=payload["smoothing"])
         clf.classes = np.array(payload["classes"], dtype=int)
         clf.log_priors = np.array(payload["log_priors"])
         clf.means = np.array(payload["means"])
         clf.variances = np.array(payload["variances"])
         clf.cat_log_probs = [np.array(t) for t in payload["cat_log_probs"]]
     elif spec.kind == KIND_RF:
-        params = payload["params"]
-        clf = RandomForest(trees_count=params["trees_count"],
-                           predictors_per_split=params["predictors_per_split"],
-                           seed=params["seed"], max_depth=params["max_depth"])
-        clf.trees = [DecisionTree.from_dict(root, payload["n_numeric"],
-                                            params["predictors_per_split"])
-                     for root in payload["trees"]]
+        for columns in payload["trees"]:
+            tree = DecisionTree(clf.mtry, None, clf.max_depth)
+            tree._set_nodes(_node_rows(columns))
+            clf.trees.append(tree)
     else:
-        params = payload["params"]
-        clf = MLP(hidden_neurons=params["hidden_neurons"], learning_rate=params["learning_rate"],
-                  epochs=params["epochs"], seed=params["seed"], batch_size=params["batch_size"])
         clf.W1 = np.array(payload["W1"])
         clf.b1 = np.array(payload["b1"])
         clf.W2 = np.array(payload["W2"])
@@ -853,11 +820,23 @@ def model_from_dict(doc: dict) -> TrainedModel:
     window = tuple(doc["training_window"]) if doc["training_window"] else None
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer,
                         vocabs=tuple(vocabs), training_window=window,
-                        single_class=doc.get("single_class", False))
+                        single_class=doc["single_class"])
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over
+    path: path holds its old content or all of text, never part of it."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
+    write_atomic(Path(path), json.dumps(model_to_dict(model)))
 
 
 def load_model(path: str | Path) -> TrainedModel:

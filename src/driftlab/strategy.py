@@ -21,6 +21,7 @@ and active trains exactly when its detector flags drift.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
@@ -147,12 +148,16 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
 
 class ModelStore:
     """Directory of serialized models keyed by
-    (airport|SB, kind, dd, dh, b, replicate); each key directory keeps one
-    file per training step plus a manifest recording the latest model."""
+    (airport|SB, kind, dd, dh, b, replicate). Each distinct model is written
+    once, as objects/<sha256 of its bytes>.json; each key directory keeps a
+    manifest whose history lists the (t, object) of every training step and
+    whose latest names the last object. Both are written through
+    learn.write_atomic, so an existing file is always whole."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.objects = self.root / "objects"
+        self.objects.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def _key_name(airport: str | None, kind: str, dd: str, dh: str,
@@ -161,10 +166,12 @@ class ModelStore:
 
     def save(self, model: TrainedModel, airport: str | None, kind: str, dd: str,
              dh: str, b: int, replicate: int, t: int) -> Path:
+        text = json.dumps(learn.model_to_dict(model))
+        path = self.objects / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
+        if not path.exists():
+            learn.write_atomic(path, text)
         key_dir = self.root / self._key_name(airport, kind, dd, dh, b, replicate)
-        key_dir.mkdir(parents=True, exist_ok=True)
-        filename = f"model_t{t}.json"
-        learn.save_model(model, key_dir / filename)
+        key_dir.mkdir(exist_ok=True)
         manifest_path = key_dir / "manifest.json"
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -172,11 +179,12 @@ class ModelStore:
             manifest = {"key": {"airport": airport or "SB", "kind": kind, "dd": dd,
                                 "dh": dh, "b": b, "replicate": replicate},
                         "history": []}
-        if filename not in manifest["history"]:
-            manifest["history"].append(filename)
-        manifest["latest"] = filename
-        manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-        return key_dir / filename
+        entry = {"t": t, "model": path.name}
+        if entry not in manifest["history"]:
+            manifest["history"].append(entry)
+        manifest["latest"] = path.name
+        learn.write_atomic(manifest_path, json.dumps(manifest, indent=2))
+        return path
 
     def load_latest(self, airport: str | None, kind: str, dd: str, dh: str,
                     b: int, replicate: int) -> TrainedModel:
@@ -185,4 +193,4 @@ class ModelStore:
         if not manifest_path.exists():
             raise FileNotFoundError(f"no stored model under {key_dir}")
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        return learn.load_model(key_dir / manifest["latest"])
+        return learn.load_model(self.objects / manifest["latest"])

@@ -4,6 +4,7 @@ import pytest
 
 from driftlab import ingest, runner, synth
 from driftlab.cli import main
+from driftlab.strategy import ModelStore
 
 
 @pytest.fixture
@@ -18,7 +19,7 @@ def synth_spec_file(tmp_path):
     return path
 
 
-def run_pipeline(tmp_path, synth_spec_file):
+def run_pipeline(tmp_path, synth_spec_file, **config_keys):
     rows_path = tmp_path / "rows.npz"
     assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
     config = {
@@ -29,6 +30,7 @@ def run_pipeline(tmp_path, synth_spec_file):
                  "strategies": ["baseline", "passive", "active"], "replicates": 5},
         "hyperparameters": {"NB": {"smoothing": 0.5}},
         "base_seed": 11,
+        **config_keys,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -117,6 +119,25 @@ class TestRunAndAnalyze:
         # a single (airport, bss) group cannot be correlated: clean error
         assert rc == 1
         assert "3" in err.err
+
+    def test_run_with_model_store(self, tmp_path, synth_spec_file):
+        store = tmp_path / "models"
+        run_pipeline(tmp_path, synth_spec_file, model_store=str(store))
+        objects = {path.name: path.read_bytes() for path in (store / "objects").iterdir()}
+        assert len(set(objects.values())) == len(objects)  # objects differ pairwise
+        used, entries = set(), 0
+        for manifest_path in sorted(store.glob("*/manifest.json")):
+            manifest = json.loads(manifest_path.read_text())
+            names = [entry["model"] for entry in manifest["history"]]
+            assert set(names) <= set(objects)  # every entry names an existing object
+            used.update(names)
+            entries += len(names)
+            key = manifest["key"]
+            latest = ModelStore(store).load_latest(key["airport"], key["kind"], key["dd"],
+                                                   key["dh"], key["b"], key["replicate"])
+            assert latest.training_window == (manifest["history"][-1]["t"], key["b"])
+        assert used == set(objects)  # no object is left unreferenced
+        assert len(objects) < entries  # cells that train the same model share its object
 
     def test_k_list_syntax(self, tmp_path, synth_spec_file, capsys):
         results_path = run_pipeline(tmp_path, synth_spec_file)

@@ -3,10 +3,12 @@
 ``tests/golden/forest_fixtures.json`` holds, for each forest below, its
 predictions on the training rows plus rows with unseen levels, and the
 sha256 of the JSON that ``save_model`` writes. ``tests/golden/rf_model.json``
-is one of those models as a file. Both were recorded with the nested-dict
-trees that preceded the flat node arrays (numpy 2.4.6). Re-record with
-``PYTHONPATH=src python tests/test_forest_fixtures.py`` only when a change
-of the model format is intended.
+is one of those models as a file. The predictions date from the trees that
+preceded the flat node arrays; the sha256s and the file are of model format
+version 2, which stores each tree as the columns of its node rows (numpy
+2.4.6). Re-record with ``PYTHONPATH=src python tests/test_forest_fixtures.py``
+only when a change of the model format is intended, and check that no
+``predictions`` string moves.
 """
 
 import dataclasses
@@ -98,6 +100,19 @@ def test_recorded_model_file_predicts_and_round_trips(rows):
     assert model_bytes(model) == MODEL_FILE.read_bytes()
 
 
+@pytest.mark.parametrize("name", FORESTS)
+def test_loaded_trees_equal_the_fitted_arrays(rows, tmp_path, name):
+    hp, seed = FORESTS[name]
+    model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), rows)
+    save_model(model, tmp_path / "rf.json")
+    loaded = load_model(tmp_path / "rf.json")
+    assert len(loaded.classifier.trees) == len(model.classifier.trees)
+    for fitted, tree in zip(model.classifier.trees, loaded.classifier.trees):
+        for name in ("feature", "threshold", "children", "value", "majority_left", "route",
+                     "routes", "seen"):
+            assert np.array_equal(getattr(tree, name), getattr(fitted, name)), name
+
+
 def test_fixtures_reach_unseen_levels_and_both_split_kinds(rows):
     """The fixtures are worth their bytes: unseen levels change some
     predictions, and the forests hold numeric and categorical splits."""
@@ -107,15 +122,12 @@ def test_fixtures_reach_unseen_levels_and_both_split_kinds(rows):
     assert seen != unseen_state
     doc = json.loads(MODEL_FILE.read_text())
     kinds = set()
-
-    def walk(node):
-        if "leaf" not in node:
-            kinds.add(node["kind"])
-            walk(node["left"])
-            walk(node["right"])
-
-    for root in doc["payload"]["trees"]:
-        walk(root)
+    for tree in doc["payload"]["trees"]:
+        for value, threshold, levels in zip(tree["value"], tree["threshold"],
+                                            tree["left_levels"]):
+            if value < 0:  # an inner node: a threshold or level lists
+                kinds.add("num" if threshold is not None else "cat")
+                assert (threshold is None) == (levels is not None)
     assert kinds == {"num", "cat"}
 
 

@@ -6,9 +6,12 @@ numpy version may change their last digits; re-record the files there by
 copying what ``drift_analysis`` writes for each config. The criterion 9
 table is checked inside ``test_acceptance.test_criterion_9_grid_integrity``.
 
+``b3_rf_mlp_models.sha256`` is the ``tree_digest`` of the model store that
+``b3_sweep`` writes; re-record it by writing that digest, only when a change
+of the model format or of the store layout is intended.
 ``b3_store_predictions.json`` holds each stored model's predictions on the
-stream's last two years. Re-record it with
-``PYTHONPATH=src python tests/test_golden.py`` only when a change of the
+stream's last two years, and must not move with such a change. Re-record it
+with ``PYTHONPATH=src python tests/test_golden.py`` only when a change of the
 trained models is intended.
 """
 
@@ -60,6 +63,8 @@ def test_b3_rf_mlp_results_bytes(tmp_path):
     assert out.read_bytes() == (GOLDEN / "b3_rf_mlp_results.csv").read_bytes()
     assert tree_digest(tmp_path / "models") == (
         (GOLDEN / "b3_rf_mlp_models.sha256").read_text().strip())
+    # the 52 (key, t) entries share 16 distinct models, each written once
+    assert len(list((tmp_path / "models" / "objects").iterdir())) == 16
 
     # a resume after losing the tail rewrites it byte for byte
     lines = out.read_bytes().splitlines(keepends=True)
@@ -76,9 +81,8 @@ def stored_models(store: Path):
     manifests."""
     for manifest_path in sorted(store.glob("*/manifest.json")):
         manifest = json.loads(manifest_path.read_text())
-        for filename in manifest["history"]:
-            t = int(filename.removeprefix("model_t").removesuffix(".json"))
-            yield manifest_path.parent.name, t, manifest_path.parent / filename
+        for entry in manifest["history"]:
+            yield manifest_path.parent.name, entry["t"], store / "objects" / entry["model"]
 
 
 def store_predictions(store: Path) -> dict:

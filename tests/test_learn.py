@@ -182,11 +182,13 @@ class TestRandomForest:
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
         model = train(spec, rows)
-        root = model_to_dict(model)["payload"]["trees"][0]
-        assert (root["kind"], root["feature"]) == ("cat", 1)
-        minority = "right" if root["majority"] == "left" else "left"
+        columns = model_to_dict(model)["payload"]["trees"][0]
+        root = {name: column[0] for name, column in columns.items()}
+        # feature 3 follows the two numeric columns and the origin: the state
+        assert (root["left_levels"] is not None, root["feature"]) == (True, 3)
+        majority, minority = ("left", "right") if root["majority_left"] else ("right", "left")
         state_of = {code: state for state, code in model.vocabs[1].items()}
-        majority_state = state_of[root[root["majority"] + "_levels"][0]]
+        majority_state = state_of[root[majority + "_levels"][0]]
         minority_state = state_of[root[minority + "_levels"][0]]
         preds = predict(model, [make_row(state=s) for s in (majority_state, minority_state, "ZZZ")])
         assert preds[0] != preds[1]
@@ -385,24 +387,48 @@ class TestMetrics:
             ConfusionCounts(tp=-1, fp=0, fn=0, tn=0)
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestSerialization:
-    @pytest.mark.parametrize("kind,hp", [
-        ("NB", {"smoothing": 0.5}),
-        ("RF", {"trees_count": 7, "predictors_per_split": 2}),
-        ("MLP", {"hidden_neurons": 6, "learning_rate": 0.3, "epochs": 15}),
+    @pytest.mark.parametrize("kind,hp,single_class", [
+        pytest.param("NB", {"smoothing": 0.5}, False, id="NB-hp0"),
+        pytest.param("RF", {"trees_count": 7, "predictors_per_split": 2}, False, id="RF-hp1"),
+        pytest.param("MLP", {"hidden_neurons": 6, "learning_rate": 0.3, "epochs": 15}, False,
+                     id="MLP-hp2"),
+        pytest.param("RF", {"trees_count": 3, "predictors_per_split": 2, "max_depth": 1}, False,
+                     id="RF-max_depth_1"),
+        # every tree is one leaf, and no tree has a categorical block
+        pytest.param("RF", {"trees_count": 3, "predictors_per_split": 2}, True,
+                     id="RF-single_class"),
     ])
-    def test_round_trip_predictions(self, tmp_path, toy_separable_rows, kind, hp):
+    def test_round_trip_predictions(self, tmp_path, toy_separable_rows, kind, hp, single_class):
         spec = ModelSpec(kind=kind, hyperparameters=hp, seed=6)
-        model = train(spec, toy_separable_rows, training_window=(2003, 1))
+        window = [r for r in toy_separable_rows if r.delayed == 0] if single_class \
+            else toy_separable_rows
+        model = train(spec, window, training_window=(2003, 1))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.spec == model.spec
         assert loaded.training_window == (2003, 1)
+        assert loaded.single_class == single_class
         assert np.array_equal(predict(model, toy_separable_rows),
                               predict(loaded, toy_separable_rows))
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "driftlab-model" and doc["version"] == 1
+        doc = json.loads(path.read_text(), parse_constant=refuse_constant)
+        assert doc["format"] == "driftlab-model" and doc["version"] == 2
+        sizes = [len(tree["value"]) for tree in doc["payload"].get("trees", [])]
+        if single_class:
+            assert sizes == [1, 1, 1]
+        elif "max_depth" in hp:
+            assert max(sizes) == 3
+
+    def test_refuses_format_version_1(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"format": "driftlab-model", "version": 1}))
+        with pytest.raises(ValueError, match="unsupported model format version 1"):
+            load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,10 +3,11 @@
 ``tests/golden/mlp_fixtures.json`` holds, for each fit below, the sha256 of
 its W1, b1, W2 and b2 bytes, its predictions on the training rows plus rows
 with unseen levels, and the sha256 of the JSON that ``save_model`` writes.
-They were recorded while ``MLP.fit`` still computed the cross-entropy of
-every minibatch and a per-epoch loss history (numpy 2.4.6). Re-record with
+The weights and predictions were recorded while ``MLP.fit`` still computed
+the cross-entropy of every minibatch and a per-epoch loss history, the
+model sha256s for model format version 2 (numpy 2.4.6). Re-record with
 ``PYTHONPATH=src python tests/test_mlp_fixtures.py`` only when a change of
-the trained weights is intended.
+the trained weights or of the model format is intended.
 """
 
 import dataclasses

@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from driftlab import learn, runner, synth
 from driftlab.runner import (ExperimentGrid, correlate_drifts_performance,
                              count_drifts, drift_analysis, export_results, grid_cells,
                              load_results, row_key, topk_frequency)
-from driftlab.strategy import StreamRun, recorded_step_years
+from driftlab.strategy import ModelStore, StreamRun, recorded_step_years
 from driftlab.windowing import partition_by_year
 
 FAST_HP = {
@@ -311,6 +312,45 @@ class TestDriftAnalysis:
             drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
         assert "unterminated last line" in caplog.text
         assert out.read_bytes() == full
+
+    def test_crash_mid_store_manifest_write_resumes_to_the_same_table(self, tmp_path,
+                                                                      monkeypatch):
+        """A process killed while it writes a model store manifest leaves the
+        previous manifest whole, so the resume rebuilds the uninterrupted
+        table and store instead of recording the cell as failed."""
+        rows = synth_rows(years=5)
+        grid = tiny_grid(years=(2001, 2004), strategies=("passive",), replicates=1)
+        drift_analysis(rows, grid, tmp_path / "full.csv", hyperparameters=FAST_HP,
+                       model_store_dir=tmp_path / "full_models")
+        write_text = Path.write_text
+        manifest_writes = []
+
+        def killed_in_third_manifest_write(self, text, *args, **kwargs):
+            if self.name.startswith("manifest.json"):
+                manifest_writes.append(self)
+                if len(manifest_writes) == 3:
+                    write_text(self, text[:len(text) // 2], *args, **kwargs)
+                    raise KeyboardInterrupt("killed mid-write")
+            return write_text(self, text, *args, **kwargs)
+
+        out, store = tmp_path / "res.csv", tmp_path / "models"
+        monkeypatch.setattr(Path, "write_text", killed_in_third_manifest_write)
+        with pytest.raises(KeyboardInterrupt):
+            drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
+        monkeypatch.undo()
+        manifest = json.loads((store / "SB__NB__mean__passive__b1__r0" / "manifest.json")
+                              .read_text())
+        assert [entry["t"] for entry in manifest["history"]] == [2001, 2002]
+        assert ModelStore(store).load_latest(None, "NB", "mean", "passive", 1, 0) \
+            .training_window == (2002, 1)
+
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
+        assert out.read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(store) == files(tmp_path / "full_models")
 
     def test_load_rejects_wrong_field_count(self, tmp_path):
         out = tmp_path / "res.csv"

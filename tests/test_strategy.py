@@ -245,9 +245,10 @@ class TestModelStore:
         run_stream(stream, 1, [("passive", "mean")], NB, store=store, store_airport="SBGR")
         key_dir = tmp_path / "models" / "SBGR__NB__mean__passive__b1__r0"
         manifest = json.loads((key_dir / "manifest.json").read_text())
-        assert manifest["latest"] == "model_t2005.json"
-        assert manifest["history"] == ["model_t2003.json", "model_t2004.json",
-                                       "model_t2005.json"]
+        assert [entry["t"] for entry in manifest["history"]] == [2003, 2004, 2005]
+        assert manifest["latest"] == manifest["history"][-1]["model"]
+        objects = tmp_path / "models" / "objects"
+        assert all((objects / entry["model"]).exists() for entry in manifest["history"])
         assert manifest["key"]["airport"] == "SBGR"
 
     def test_missing_key_errors(self, tmp_path):
