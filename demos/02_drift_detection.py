@@ -13,7 +13,7 @@ stream = partition_by_year(rows, (2001, 2006))
 # Weekly delay-proportion vector of one training window (b = 1).
 weekly_2003 = drift.weekly_delay_proportions(batch_sequence(stream, 2003, 1))
 print(f"window 2003: {len(weekly_2003)} weekly proportions, "
-      f"first 5: {[round(e.delay_proportion, 3) for e in weekly_2003.entries[:5]]}")
+      f"first 5: {weekly_2003.proportions[:5]}")
 
 # Compare consecutive windows at every transition with each detector.
 print("\nt    mean   variance  mean_variance  (drift flags)")

@@ -10,10 +10,10 @@ for the combined detector. The tests in :mod:`driftlab.stats` only compute
 statistics and p-values; this module is the one place alpha is applied.
 
 A decision depends only on the labels of the two windows, so a
-DetectionMemo shares the work of one sweep over one stream: each yearly
-batch's (year, week) counts, each window's proportions and normality
-verdict, each window pair's mean and variance test (computed only when a
-detector asks for it), and each decision are computed once, whatever the
+DetectionMemo shares the work of one sweep over one stream: each window's
+proportions (summed from its batches' week_counts) and normality verdict,
+each window pair's mean and variance test (computed only when a detector
+asks for it), and each decision are computed once, whatever the
 classifier, replicate or detector asking. A failure is memoised too and
 re-raised for every caller, so the fail-safe retrain and a propagating
 error reach each of them as if it had computed the result itself.
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import stats
 from .stats import DegenerateSampleError, TestResult
-from .windowing import Batch, BatchSequence
+from .windowing import BatchSequence
 
 log = logging.getLogger(__name__)
 
@@ -50,24 +50,17 @@ class InsufficientWeeklySupportError(ValueError):
     """Too few weeks in the window reach the minimum flight count."""
 
 
-@dataclass(frozen=True)
-class WeekEntry:
-    year: int
-    week_of_year: int
-    n_flights: int
-    delay_proportion: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeeklyProportions:
-    entries: tuple[WeekEntry, ...]
-
-    @property
-    def proportions(self) -> np.ndarray:
-        return np.array([e.delay_proportion for e in self.entries])
+    """Each kept (year, week) cell of a window, chronological, with its
+    flight count and delay proportion. It compares and hashes by identity."""
+    years: np.ndarray
+    weeks: np.ndarray
+    flights: np.ndarray
+    proportions: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.proportions)
 
 
 @dataclass(frozen=True)
@@ -94,65 +87,40 @@ def once(cache: dict, key, compute):
 
 class DetectionMemo:
     """The detection work of one sweep over one stream, each piece computed
-    once (see the module docstring). Windows are keyed by the identity of
-    their batches, which the memo keeps alive; give it only windows of one
-    stream, and let it live no longer than the sweep that made it."""
+    once (see the module docstring). Windows are keyed by their batches, and
+    tests by the WeeklyProportions they read, all of which the memo keeps
+    alive; give it only windows of one stream, and let it live no longer
+    than the sweep that made it."""
 
     def __init__(self):
         self._results: dict = {}
-        self._held: dict[int, object] = {}
 
     def once(self, key, compute):
         return once(self._results, key, compute)
 
-    def key(self, obj) -> int:
-        """id(obj), with obj kept alive so that the id stays its own."""
-        self._held[id(obj)] = obj
-        return id(obj)
-
-    def window(self, seq: BatchSequence | None) -> tuple[int, ...] | None:
-        """The key of a window (None for no window)."""
-        return None if seq is None else tuple(map(self.key, seq.batches))
-
-    def week_counts(self, batch: Batch) -> dict[tuple[int, int], tuple[int, int]]:
-        return self.once(("counts", self.key(batch)), lambda: week_counts(batch))
-
     def weekly(self, seq: BatchSequence, min_week_flights: int) -> WeeklyProportions:
-        return self.once(("weekly", self.window(seq), min_week_flights),
-                         lambda: weekly_delay_proportions(seq, min_week_flights, memo=self))
+        return self.once(("weekly", seq.batches, min_week_flights),
+                         lambda: weekly_delay_proportions(seq, min_week_flights))
 
 
-def week_counts(batch: Batch) -> dict[tuple[int, int], tuple[int, int]]:
-    """(flights, delayed flights) per (year, week) of one batch."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    for row in batch.rows:
-        cell = counts.setdefault((row.year, row.week_of_year), [0, 0])
-        cell[0] += 1
-        cell[1] += int(row.delayed)
-    return {key: (n, d) for key, (n, d) in counts.items()}
-
-
-def weekly_delay_proportions(seq: BatchSequence,
-                             min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
-                             memo: DetectionMemo | None = None) -> WeeklyProportions:
+def weekly_delay_proportions(
+        seq: BatchSequence, min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS) -> WeeklyProportions:
     """Delay proportion per (year, week) cell across the whole window,
     chronological; weeks with fewer than min_week_flights rows are dropped
     to keep the proportions stable. The window's counts are the sum of its
-    batches' week_counts, taken from memo when one is given."""
-    counts: dict[tuple[int, int], tuple[int, int]] = {}
-    for batch in seq.batches:
-        batch_counts = week_counts(batch) if memo is None else memo.week_counts(batch)
-        for key, (n, d) in batch_counts.items():
-            total = counts.get(key, (0, 0))
-            counts[key] = (total[0] + n, total[1] + d)
-    entries = [WeekEntry(year=year, week_of_year=week, n_flights=n, delay_proportion=d / n)
-               for (year, week), (n, d) in sorted(counts.items())
-               if n >= min_week_flights]
-    if not entries:
+    batches' week_counts."""
+    cells, flights, delayed = (np.concatenate(parts) for parts in
+                               zip(*(batch.week_counts for batch in seq.batches)))
+    cells, inverse = np.unique(cells, axis=0, return_inverse=True)
+    n = np.bincount(inverse, weights=flights).astype(np.int64)
+    d = np.bincount(inverse, weights=delayed).astype(np.int64)
+    keep = n >= min_week_flights
+    if not keep.any():
         raise InsufficientWeeklySupportError(
             f"insufficient weekly support: no week with >= {min_week_flights} flights "
             f"in window ending {seq.end_year}")
-    return WeeklyProportions(entries=tuple(entries))
+    return WeeklyProportions(years=cells[keep, 0], weeks=cells[keep, 1], flights=n[keep],
+                             proportions=d[keep] / n[keep])
 
 
 def _is_normal(vector: np.ndarray, alpha: float) -> bool:
@@ -178,19 +146,17 @@ def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportion
         raise InsufficientWeeklySupportError(
             "drift detection requires at least 4 weekly proportions per window")
     memo = memo if memo is not None else DetectionMemo()
-    a, b = memo.key(current), memo.key(previous)
-
-    normal_a = memo.once(("normal", a, alpha), lambda: _is_normal(cur, alpha))
-    normal_b = memo.once(("normal", b, alpha), lambda: _is_normal(prev, alpha))
+    normal_a = memo.once(("normal", current, alpha), lambda: _is_normal(cur, alpha))
+    normal_b = memo.once(("normal", previous, alpha), lambda: _is_normal(prev, alpha))
     parametric = normal_a and normal_b
 
     mean_test = None
     variance_test = None
     if detector in (DETECTOR_MEAN, DETECTOR_MEAN_VARIANCE):
-        mean_test = memo.once(("mean", a, b, parametric), lambda: (
+        mean_test = memo.once(("mean", current, previous, parametric), lambda: (
             stats.welch_t(cur, prev) if parametric else stats.wilcoxon_rank_sum(cur, prev)))
     if detector in (DETECTOR_VARIANCE, DETECTOR_MEAN_VARIANCE):
-        variance_test = memo.once(("variance", a, b, parametric), lambda: (
+        variance_test = memo.once(("variance", current, previous, parametric), lambda: (
             stats.f_variance(cur, prev) if parametric else stats.levene(cur, prev)))
 
     drift = any(test.p_value < alpha for test in (mean_test, variance_test) if test is not None)

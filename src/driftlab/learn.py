@@ -574,8 +574,10 @@ def one_hot(codes: np.ndarray, vocab_sizes: list[int]) -> np.ndarray:
 # TrainedModel facade
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class TrainedModel:
+    """A fitted classifier with what predict needs to encode rows for it.
+    It compares and hashes by identity, so it can key a memo."""
     spec: ModelSpec
     classifier: object
     normalizer: Normalizer

@@ -98,6 +98,9 @@ class ExperimentGrid:
                 raise ValueError(f"unknown strategy {dh!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not self.bss or any(isinstance(b, bool) or not isinstance(b, int) or b < 1
+                               for b in self.bss):
+            raise ValueError(f"bss must be a non-empty tuple of ints >= 1, got {self.bss!r}")
 
 
 @dataclass(frozen=True)

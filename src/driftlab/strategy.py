@@ -115,7 +115,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
         except WindowUnderflowError:
             d_j = None
         test_batch = batch_sequence(stream, t + 1, 1).batches[0]
-        shared: dict = {}  # the window's model, and each model's scores by id
+        shared: dict = {}  # the window's model, its stored object, and each model's scores
         for (dh, dd), run in zip(cells, runs):
             if run.error is not None or t not in recorded[dh]:
                 continue
@@ -125,7 +125,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                     train_flag, decision = True, None
                 else:
                     train_flag, decision = memo.once(
-                        ("decision", dd, dh, memo.window(d_i), memo.window(d_j), alpha,
+                        ("decision", dd, dh, d_i.batches, d_j and d_j.batches, alpha,
                          min_week_flights),
                         lambda: decide_drift(dd, dh, d_i, d_j, alpha=alpha,
                                              min_week_flights=min_week_flights, memo=memo))
@@ -134,10 +134,11 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                         spec, d_i.rows, training_window=(t, b)))
                     run.trainings_done += 1
                     if store is not None:
-                        store.save(run.current_model, airport=store_airport, kind=spec.kind,
-                                   dd=dd, dh=dh, b=b, replicate=replicate, t=t)
+                        name = once(shared, "object", lambda: store.put(run.current_model))
+                        store.record(name, airport=store_airport, kind=spec.kind,
+                                     dd=dd, dh=dh, b=b, replicate=replicate, t=t)
                 model = run.current_model
-                confusion, metrics = once(shared, id(model), lambda: _score(model, test_batch))
+                confusion, metrics = once(shared, model, lambda: _score(model, test_batch))
                 run.steps.append(StepResult(t=t, trained=train_flag, drift=decision,
                                             confusion=confusion, metrics=metrics))
             except Exception as exc:  # ends this cell only
@@ -164,12 +165,17 @@ class ModelStore:
                   b: int, replicate: int) -> str:
         return f"{airport or 'SB'}__{kind}__{dd}__{dh}__b{b}__r{replicate}"
 
-    def save(self, model: TrainedModel, airport: str | None, kind: str, dd: str,
-             dh: str, b: int, replicate: int, t: int) -> Path:
+    def put(self, model: TrainedModel) -> str:
+        """Write the model as an object unless that object exists; its name."""
         text = json.dumps(learn.model_to_dict(model))
         path = self.objects / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
         if not path.exists():
             learn.write_atomic(path, text)
+        return path.name
+
+    def record(self, name: str, airport: str | None, kind: str, dd: str, dh: str,
+               b: int, replicate: int, t: int) -> None:
+        """Enter object name as the key's model trained at step t."""
         key_dir = self.root / self._key_name(airport, kind, dd, dh, b, replicate)
         key_dir.mkdir(exist_ok=True)
         manifest_path = key_dir / "manifest.json"
@@ -179,12 +185,11 @@ class ModelStore:
             manifest = {"key": {"airport": airport or "SB", "kind": kind, "dd": dd,
                                 "dh": dh, "b": b, "replicate": replicate},
                         "history": []}
-        entry = {"t": t, "model": path.name}
+        entry = {"t": t, "model": name}
         if entry not in manifest["history"]:
             manifest["history"].append(entry)
-        manifest["latest"] = path.name
+        manifest["latest"] = name
         learn.write_atomic(manifest_path, json.dumps(manifest, indent=2))
-        return path
 
     def load_latest(self, airport: str | None, kind: str, dd: str, dh: str,
                     b: int, replicate: int) -> TrainedModel:

@@ -5,18 +5,25 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
+import numpy as np
+
 log = logging.getLogger(__name__)
+
+# a (year, week) cell's sort key is year * _WEEK_SPAN + week, for weeks in [0, _WEEK_SPAN)
+_WEEK_SPAN = 1 << 32
 
 
 class WindowUnderflowError(ValueError):
     """Requested a batch sequence extending before the start of the stream."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """All rows of one time slice (one year)."""
+    """All rows of one time slice (one year). A batch compares and hashes by
+    identity, so it can key a memo."""
     year: int
     rows: tuple = field(repr=False)
 
@@ -27,18 +34,28 @@ class Batch:
     def __len__(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def week_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cells, flights, delayed flights): the rows' distinct (year, week)
+        cells, ascending, as a (cells, 2) array, and each cell's row and
+        delayed-row counts. Counted once per batch."""
+        n = len(self.rows)
+        years = np.fromiter((row.year for row in self.rows), np.int64, n)
+        weeks = np.fromiter((row.week_of_year for row in self.rows), np.int64, n)
+        delayed = np.fromiter((row.delayed for row in self.rows), bool, n)
+        keys, inverse = np.unique(years * _WEEK_SPAN + weeks, return_inverse=True)
+        cells = np.stack(np.divmod(keys, _WEEK_SPAN), axis=1)
+        return cells, np.bincount(inverse), np.bincount(inverse[delayed], minlength=len(cells))
+
 
 @dataclass(frozen=True)
 class BatchSequence:
     """b consecutive batches (a training window)."""
-    size: int
     batches: tuple
 
     def __post_init__(self):
-        if self.size < 1:
+        if not self.batches:
             raise ValueError("batch sequence size must be >= 1")
-        if len(self.batches) != self.size:
-            raise ValueError("batch sequence length does not match size")
         years = [b.year for b in self.batches]
         if years != list(range(years[0], years[0] + len(years))):
             raise ValueError(f"batches are not consecutive years: {years}")
@@ -80,7 +97,7 @@ def batch_sequence(stream: list[Batch], end_year: int, b: int) -> BatchSequence:
         raise WindowUnderflowError(
             f"window underflow: need {b} batches ending at {end_year}, "
             f"stream starts at {years[0]}")
-    return BatchSequence(size=b, batches=tuple(stream[pos - b + 1:pos + 1]))
+    return BatchSequence(batches=tuple(stream[pos - b + 1:pos + 1]))
 
 
 def step_years(years: list[int], b: int,

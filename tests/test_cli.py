@@ -218,6 +218,21 @@ class TestRunAndAnalyze:
         assert "predictors_per_split 50 exceeds the feature count 6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_refuses_bad_window_sizes(self, tmp_path, synth_spec_file, capsys):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        for bss in ([0], [-1], []):
+            cfg_path.write_text(json.dumps({
+                "rows": str(rows_path), "out": str(out),
+                "grid": {"classifiers": ["NB"], "years": [2002, 2004], "bss": bss},
+                "hyperparameters": {"NB": {"smoothing": 0.5}}}))
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path)]) == 1
+            assert "bss must be a non-empty tuple of ints >= 1" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_run_leaves_defaults_to_the_library(self, tmp_path, synth_spec_file):
         rows_path = tmp_path / "rows.npz"
         assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0

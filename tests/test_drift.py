@@ -4,17 +4,15 @@ import pytest
 from conftest import make_row, varied_weekly_rows, weekly_rows
 from driftlab import drift
 from driftlab.drift import (DETECTORS, DetectionMemo, InsufficientWeeklySupportError,
-                            WeeklyProportions, WeekEntry, decide_drift, detect,
-                            weekly_delay_proportions)
+                            WeeklyProportions, decide_drift, detect, weekly_delay_proportions)
 from driftlab.stats import DegenerateSampleError
-from driftlab.windowing import batch_sequence, partition_by_year
+from driftlab.windowing import Batch, BatchSequence, batch_sequence, partition_by_year
 
 
 def proportions(values, year=2003):
-    entries = tuple(WeekEntry(year=year, week_of_year=w + 1, n_flights=100,
-                              delay_proportion=float(v))
-                    for w, v in enumerate(values))
-    return WeeklyProportions(entries=entries)
+    n = len(values)
+    return WeeklyProportions(years=np.full(n, year), weeks=np.arange(1, n + 1),
+                             flights=np.full(n, 100), proportions=np.array(values, dtype=float))
 
 
 def noisy(mean, n=52, seed=0, scale=0.03):
@@ -36,14 +34,14 @@ class TestWeeklyProportions:
         stream = partition_by_year(rows, (2003, 2003))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2003, 1))
         assert len(weekly) == 9
-        assert all(e.week_of_year != 4 for e in weekly.entries)
+        assert all(week != 4 for week in weekly.weeks)
 
     def test_two_year_window_has_104_entries(self):
         rows = weekly_rows(2003) + weekly_rows(2004)
         stream = partition_by_year(rows, (2003, 2004))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2004, 2))
         assert len(weekly) == 104
-        years = [e.year for e in weekly.entries]
+        years = weekly.years.tolist()
         assert years == sorted(years)
 
     def test_thin_weeks_dropped(self):
@@ -52,7 +50,30 @@ class TestWeeklyProportions:
         stream = partition_by_year(rows, (2003, 2004))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2004, 2),
                                           min_week_flights=5)
-        assert all(e.year == 2004 for e in weekly.entries)
+        assert all(year == 2004 for year in weekly.years)
+
+    def test_counts_match_a_loop_over_rows(self):
+        """The reference: per-row (year, week) counts, summed over the window
+        and divided in chronological order."""
+        rng = np.random.default_rng(7)
+        batches = []
+        for year in (2003, 2004, 2005):
+            weeks = rng.integers(1, 54, size=int(rng.integers(0, 400)))
+            # some rows of 2004 carry 2003, as a batch built by hand may
+            batches.append(Batch(year=year, rows=tuple(
+                make_row(year=year - (year == 2004 and i % 7 == 0), week=int(w),
+                         delayed=int(rng.uniform() < 0.3)) for i, w in enumerate(weeks))))
+        for mwf in (1, 5):
+            counts: dict = {}
+            for row in (row for batch in batches for row in batch.rows):
+                n, d = counts.get((row.year, row.week_of_year), (0, 0))
+                counts[(row.year, row.week_of_year)] = (n + 1, d + row.delayed)
+            kept = [(cell, n, d / n) for cell, (n, d) in sorted(counts.items()) if n >= mwf]
+            weekly = weekly_delay_proportions(BatchSequence(batches=tuple(batches)), mwf)
+            assert list(zip(weekly.years.tolist(), weekly.weeks.tolist())) == [
+                cell for cell, _, _ in kept]
+            assert weekly.flights.tolist() == [n for _, n, _ in kept]
+            assert weekly.proportions.tolist() == [p for _, _, p in kept]
 
     def test_all_weeks_thin_errors(self):
         rows = weekly_rows(2003, weeks=6, per_week=2, delayed_per_week=1)
@@ -216,21 +237,19 @@ class TestDetectionMemo:
             rows += varied_weekly_rows(year, base=14 + 3 * i)
         return partition_by_year(rows, (2003, 2006))
 
-    def test_batch_counts_give_the_same_proportions(self, monkeypatch):
+    def test_batch_counts_give_the_same_proportions(self):
         stream = self._stream()
         windows = [batch_sequence(stream, batch.year, b)
                    for b in (1, 2, 3) for batch in stream[b - 1:]]
+        counts = [batch.week_counts for batch in stream]
         fresh = [weekly_delay_proportions(seq) for seq in windows]
-        counted = []
-        real = drift.week_counts
-
-        def week_counts(batch):
-            counted.append(batch.year)
-            return real(batch)
-        monkeypatch.setattr(drift, "week_counts", week_counts)
         memo = DetectionMemo()
-        assert [memo.weekly(seq, 5) for seq in windows] == fresh
-        assert sorted(counted) == [2003, 2004, 2005, 2006]
+        shared = [memo.weekly(seq, 5) for seq in windows]
+        for a, b in zip(shared, fresh):
+            for field in ("years", "weeks", "flights", "proportions"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+        # each batch counted its weeks once, whatever window read them
+        assert all(batch.week_counts is c for batch, c in zip(stream, counts))
         again = batch_sequence(stream, 2006, 3)
         assert memo.weekly(again, 5) is memo.weekly(windows[-1], 5)
 

@@ -19,7 +19,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from driftlab import synth
+from driftlab import learn, synth
 from driftlab.learn import load_model, predict
 from driftlab.runner import ExperimentGrid, drift_analysis
 
@@ -71,6 +71,19 @@ def test_b3_rf_mlp_results_bytes(tmp_path):
     out.write_bytes(b"".join(lines[:-13]))
     b3_sweep(out, tmp_path / "models")
     assert out.read_bytes() == (GOLDEN / "b3_rf_mlp_results.csv").read_bytes()
+
+
+def test_b3_sweep_serializes_each_model_once(tmp_path, monkeypatch):
+    serialized = []
+    real = learn.model_to_dict
+
+    def model_to_dict(model):
+        serialized.append(model)
+        return real(model)
+    monkeypatch.setattr(learn, "model_to_dict", model_to_dict)
+    b3_sweep(tmp_path / "results.csv", tmp_path / "models")
+    # the 16 models of the store, each shared by every cell that trained it
+    assert len(serialized) == 16
 
 
 STORE_PREDICTIONS = GOLDEN / "b3_store_predictions.json"

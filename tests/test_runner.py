@@ -64,6 +64,11 @@ class TestGridCells:
         grid = ExperimentGrid(airports=(None, "SBGR"))
         assert grid_cells(grid) == grid_cells(grid)
 
+    @pytest.mark.parametrize("bss", [(), (0,), (-1,), (1, 0), (True,), (2.0,)])
+    def test_bad_window_sizes_refused(self, bss):
+        with pytest.raises(ValueError, match="bss must be a non-empty tuple of ints >= 1"):
+            ExperimentGrid(bss=bss)
+
 
 class TestDriftAnalysis:
     def test_full_sweep_row_count_matches_analytic(self, tmp_path):
@@ -273,7 +278,7 @@ class TestDriftAnalysis:
         assert {(r["classifier"], r["replicate"]) for r in results} == {
             ("NB", 0), ("RF", 0), ("RF", 1)}
 
-        decisions = [(dd, dh, d_i.size, d_i.end_year, d_j and d_j.end_year)
+        decisions = [(dd, dh, len(d_i.batches), d_i.end_year, d_j and d_j.end_year)
                      for dd, dh, d_i, d_j in calls["decide_drift"]]
         assert len(decisions) == len(set(decisions))
         detections = {(b, t) for dd, dh, b, t, lagged in decisions

@@ -7,7 +7,7 @@ from scipy import stats as ss
 
 import oracles
 from driftlab import stats
-from driftlab.drift import WeeklyProportions, WeekEntry, detect
+from driftlab.drift import WeeklyProportions, detect
 from driftlab.stats import (DegenerateSampleError, f_variance, ks_normality, levene,
                             pearson_correlation, shapiro_wilk, welch_t,
                             wilcoxon_rank_sum)
@@ -360,6 +360,7 @@ def test_results_carry_python_scalars():
         assert type(result.p_value) is float
 
     def weekly(values):
-        return WeeklyProportions(tuple(WeekEntry(2003, week, 100, float(v))
-                                       for week, v in enumerate(values, 1)))
+        n = len(values)
+        return WeeklyProportions(years=np.full(n, 2003), weeks=np.arange(1, n + 1),
+                                 flights=np.full(n, 100), proportions=np.array(values, dtype=float))
     assert type(detect("mean_variance", weekly(a), weekly(b)).drift) is bool

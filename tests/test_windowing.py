@@ -64,7 +64,7 @@ class TestBatchSequence:
         b1 = Batch(year=2003, rows=())
         b2 = Batch(year=2005, rows=())
         with pytest.raises(ValueError):
-            BatchSequence(size=2, batches=(b1, b2))
+            BatchSequence(batches=(b1, b2))
 
 
 class TestStepYears:
