@@ -253,6 +253,11 @@ class TestRowIO:
         assert type(back.week_of_year) is int and type(back.year) is int
         assert type(back.delayed) is int
 
+    def test_ragged_features_refused(self, tmp_path):
+        rows = [make_row(features=(0.1, 0.2)), make_row(features=(0.1, 0.2, 0.3))]
+        with pytest.raises(ValueError):
+            save_rows(rows, ("a", "b"), tmp_path / "rows.npz")
+
     def test_empty_table(self, tmp_path):
         path = tmp_path / "rows.npz"
         save_rows([], ("a",), path)

@@ -77,6 +77,89 @@ class TestKinds:
                 ModelSpec(kind=kind, hyperparameters=hp)
 
 
+def reference_extract(rows):
+    """_extract written row by row, the definition its result must match."""
+    numeric = np.vstack([r.numeric_features for r in rows])
+    cats = [[r.origin_airport for r in rows],
+            [r.destination_state for r in rows],
+            [r.week_of_year for r in rows]]
+    y = np.array([r.delayed for r in rows], dtype=int)
+    return numeric, cats, y
+
+
+def reference_encode(cats, vocabs):
+    """_encode written row by row: a level missing from its vocabulary gets
+    the vocabulary's size."""
+    return np.array([[vocab.get(v, len(vocab)) for vocab, v in zip(vocabs, values)]
+                     for values in zip(*cats)], dtype=int)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def seeded_rows(seed, n=300, n_features=4, dtype=float, delayed=int):
+    """Rows with NaN features, int week codes and the given delayed type."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, n_features))
+    features[rng.random((n, n_features)) < 0.1] = np.nan
+    origins = rng.choice(["SBGR", "SBSP", "SBKP", "SBRJ"], size=n)
+    states = rng.choice(["SP", "RJ", "MG", "DF", "BA"], size=n)
+    weeks = rng.integers(1, 54, size=n)
+    labels_ = rng.integers(0, 2, size=n)
+    return [make_row(year=2003, week=int(weeks[i]), delayed=delayed(labels_[i]),
+                     origin=str(origins[i]), state=str(states[i]),
+                     features=features[i]) for i in range(n)]
+
+
+class TestConversion:
+    """_extract and _encode equal a plain per-row reference in dtype, shape
+    and bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("delayed", [int, bool, np.int64, np.int8],
+                             ids=["int", "bool", "np.int64", "np.int8"])
+    def test_extract_and_encode_match_reference(self, seed, delayed):
+        rows = seeded_rows(seed, delayed=delayed)
+        numeric, cats, y = _extract(rows)
+        ref_numeric, ref_cats, ref_y = reference_extract(rows)
+        assert np.isnan(numeric).any()
+        assert_same_array(numeric, ref_numeric)
+        assert_same_array(y, ref_y)
+        assert cats == ref_cats
+        assert [type(v) for col in cats for v in col] == \
+               [type(v) for col in ref_cats for v in col]
+        vocabs = _build_vocabs(cats)
+        assert_same_array(_encode(cats, vocabs), reference_encode(ref_cats, vocabs))
+
+    def test_feature_dtype_kept(self):
+        rows = [make_row(features=(1, 2)), make_row(features=(3, 4))]
+        for r in rows:
+            r.numeric_features = r.numeric_features.astype(np.float32)
+        numeric, _, _ = _extract(rows)
+        assert_same_array(numeric, reference_extract(rows)[0])
+
+    def test_unknown_levels_get_vocabulary_size(self):
+        train_rows = seeded_rows(5, n=50)
+        vocabs = _build_vocabs(_extract(train_rows)[1])
+        rows = seeded_rows(6, n=40) + [
+            make_row(origin="SBBR", state="RS", week=60, features=(0.0,) * 4),
+            make_row(origin="SBGR", state="PR", week=1, features=(0.0,) * 4),
+        ]
+        _, cats, _ = _extract(rows)
+        codes = _encode(cats, vocabs)
+        assert_same_array(codes, reference_encode(reference_extract(rows)[1], vocabs))
+        assert codes[-2].tolist() == [len(v) for v in vocabs]
+        assert codes[-1, 1] == len(vocabs[1])
+
+    def test_ragged_features_refused(self):
+        rows = [make_row(features=(0.1, 0.2)), make_row(features=(0.1, 0.2, 0.3))]
+        with pytest.raises(ValueError):
+            _extract(rows)
+
+
 class TestNaiveBayes:
     def test_separable_toy_accuracy(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
