@@ -60,7 +60,7 @@ def _cmd_run(args) -> int:
     _refuse_unknown(grid_cfg, _GRID_KEYS, "grid")
     rows, _ = ingest.load_rows(cfg["rows"])
     grid_cfg["airports"] = [None if a in (None, "SB") else a for a in grid_cfg["airports"]]
-    grid = ExperimentGrid(**{key: int(value) if key == "replicates" else tuple(value)
+    grid = ExperimentGrid(**{key: value if key == "replicates" else tuple(value)
                              for key, value in grid_cfg.items()})
     results = runner.drift_analysis(
         rows, grid, cfg["out"],

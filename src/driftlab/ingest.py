@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -314,11 +315,16 @@ def apply_normalizer(normalizer: Normalizer, features: np.ndarray) -> np.ndarray
 # Row table persistence (shared with the synthetic generator and the CLI)
 # ---------------------------------------------------------------------------
 
+def feature_matrix(rows) -> np.ndarray:
+    """The rows' numeric features as one (rows, features) array, in the dtype
+    np.vstack would give, from one pass over the rows; ragged feature vectors
+    raise ValueError. Needs at least one row."""
+    return np.array(list(map(attrgetter("numeric_features"), rows)))
+
+
 def save_rows(rows, feature_names, path: str | Path) -> None:
     rows = list(rows)
-    n_feat = len(feature_names)
-    features = (np.vstack([r.numeric_features for r in rows])
-                if rows else np.zeros((0, n_feat)))
+    features = feature_matrix(rows) if rows else np.zeros((0, len(feature_names)))
     np.savez_compressed(
         Path(path),
         origin=np.array([r.origin_airport for r in rows], dtype=np.str_),

@@ -96,11 +96,16 @@ class ExperimentGrid:
         for dh in self.strategies:
             if dh not in STRATEGIES:
                 raise ValueError(f"unknown strategy {dh!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if not self.bss or any(isinstance(b, bool) or not isinstance(b, int) or b < 1
-                               for b in self.bss):
+        if not learn._is_count(self.replicates):
+            raise ValueError(f"replicates must be an int >= 1, got {self.replicates!r}")
+        if not self.bss or not all(map(learn._is_count, self.bss)):
             raise ValueError(f"bss must be a non-empty tuple of ints >= 1, got {self.bss!r}")
+        years = self.years
+        if (not isinstance(years, tuple) or len(years) != 2
+                or any(isinstance(y, bool) or not isinstance(y, int) for y in years)
+                or years[0] > years[1]):
+            raise ValueError(f"years must be a (first, last) tuple of ints with "
+                             f"first <= last, got {years!r}")
 
 
 @dataclass(frozen=True)
@@ -474,6 +479,8 @@ def topk_frequency(results: list[dict], k_range, rank_metric: str = "f1") -> Top
     if rank_metric not in METRIC_COLUMNS:
         raise ValueError(f"rank_metric must be one of {METRIC_COLUMNS}")
     k_range = list(k_range)
+    if not k_range:
+        raise ValueError("top-k needs at least one k; the k range is empty")
     if any(k < 1 for k in k_range):
         raise ValueError(f"top-k needs every k >= 1, got {k_range}")
     if not results:
@@ -523,7 +530,10 @@ def correlate_drifts_performance(results: list[dict]) -> CorrelationReport:
     of active cells; baseline/passive have no drifts and are not considered.
     Constant columns are excluded with a note."""
     active = [r for r in results if r["strategy"] == STRATEGY_ACTIVE and not r["error"]]
-    group_keys = sorted({(r["airport"], r["bss"]) for r in active})
+    groups: dict[tuple, list[dict]] = {}  # each group's rows, in table order
+    for r in active:
+        groups.setdefault((r["airport"], r["bss"]), []).append(r)
+    group_keys = sorted(groups)
     if len(group_keys) < 3:
         raise ValueError(f"correlation needs >= 3 (airport, bss) groups, got {len(group_keys)}")
     drift_counts = count_drifts(active).groups()
@@ -533,9 +543,8 @@ def correlate_drifts_performance(results: list[dict]) -> CorrelationReport:
     for gi, (airport, bss) in enumerate(group_keys):
         for di, d in enumerate(detectors):
             matrix[gi, di] = drift_counts.get((airport, d, bss), np.nan)
-        rows = [r for r in active if r["airport"] == airport and r["bss"] == bss]
         for mi, metric in enumerate(METRIC_COLUMNS):
-            defined = [r[metric] for r in rows if r[metric] is not None]
+            defined = [r[metric] for r in groups[airport, bss] if r[metric] is not None]
             if defined:
                 matrix[gi, len(detectors) + mi] = float(np.median(defined))
 

@@ -155,6 +155,14 @@ class TestRunAndAnalyze:
         assert "k >= 1" in captured.err
         assert "\tstrategy\t" not in captured.out
 
+    def test_empty_k_range_fails(self, tmp_path, synth_spec_file, capsys):
+        results_path = run_pipeline(tmp_path, synth_spec_file)
+        capsys.readouterr()
+        assert main(["analyze", "topk", "--results", str(results_path), "--k", "5..3"]) == 1
+        captured = capsys.readouterr()
+        assert "k range is empty" in captured.err
+        assert captured.out == ""
+
     def test_run_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"rows": "x.npz"}))
@@ -232,6 +240,26 @@ class TestRunAndAnalyze:
             assert main(["run", "--config", str(cfg_path)]) == 1
             assert "bss must be a non-empty tuple of ints >= 1" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("years", [2003]), ("years", [2004, 2002]), ("years", ["2003", "2004"]),
+        ("replicates", 2.5), ("replicates", True), ("replicates", "2"),
+    ])
+    def test_run_refuses_bad_years_and_replicates(self, tmp_path, synth_spec_file, capsys,
+                                                  key, value):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        grid = {"classifiers": ["NB"], "years": [2002, 2004], "bss": [1], key: value}
+        cfg_path.write_text(json.dumps({
+            "rows": str(rows_path), "out": str(out), "grid": grid,
+            "hyperparameters": {"NB": {"smoothing": 0.5}}}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "results.csv.manifest.json").exists()
 
     def test_run_leaves_defaults_to_the_library(self, tmp_path, synth_spec_file):
         rows_path = tmp_path / "rows.npz"

@@ -69,6 +69,19 @@ class TestGridCells:
         with pytest.raises(ValueError, match="bss must be a non-empty tuple of ints >= 1"):
             ExperimentGrid(bss=bss)
 
+    @pytest.mark.parametrize("field, value", [
+        ("years", (2003,)), ("years", (2003, 2002)), ("years", ("2003", "2004")),
+        ("years", (2003, 2004, 2005)), ("years", (True, 2004)), ("years", (2003.0, 2004)),
+        ("years", [2003, 2004]), ("replicates", 0), ("replicates", 2.5),
+        ("replicates", True), ("replicates", "5"),
+    ])
+    def test_bad_years_and_replicates_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentGrid(**{field: value})
+
+    def test_single_year_range_accepted(self):
+        assert ExperimentGrid(years=(2003, 2003), replicates=1).years == (2003, 2003)
+
 
 class TestDriftAnalysis:
     def test_full_sweep_row_count_matches_analytic(self, tmp_path):
@@ -712,6 +725,10 @@ class TestTopK:
     def test_k_below_one_rejected(self, k_range):
         with pytest.raises(ValueError, match="k >= 1"):
             topk_frequency(self._results(), k_range)
+
+    def test_empty_k_range_rejected(self):
+        with pytest.raises(ValueError, match="k range is empty"):
+            topk_frequency(self._results(), range(5, 3))
 
 
 class TestCorrelate:
