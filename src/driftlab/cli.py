@@ -58,6 +58,9 @@ def _cmd_run(args) -> int:
     _refuse_unknown(cfg, _CONFIG_KEYS, "config")
     grid_cfg = {"airports": ["SB"], **cfg.get("grid", {})}
     _refuse_unknown(grid_cfg, _GRID_KEYS, "grid")
+    for key, value in grid_cfg.items():
+        if key != "replicates" and not isinstance(value, list):
+            raise ValueError(f"grid {key} must be a list, got {value!r}")
     rows, _ = ingest.load_rows(cfg["rows"])
     grid_cfg["airports"] = [None if a in (None, "SB") else a for a in grid_cfg["airports"]]
     grid = ExperimentGrid(**{key: value if key == "replicates" else tuple(value)

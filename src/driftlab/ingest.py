@@ -316,9 +316,9 @@ def apply_normalizer(normalizer: Normalizer, features: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def feature_matrix(rows) -> np.ndarray:
-    """The rows' numeric features as one (rows, features) array, in the dtype
-    np.vstack would give, from one pass over the rows; ragged feature vectors
-    raise ValueError. Needs at least one row."""
+    """The rows' numeric features as one (rows, features) array, built in
+    one pass over the rows; ragged feature vectors raise ValueError. Needs
+    at least one row."""
     return np.array(list(map(attrgetter("numeric_features"), rows)))
 
 

@@ -244,9 +244,9 @@ class TestRunAndAnalyze:
     @pytest.mark.parametrize("key, value", [
         ("years", [2003]), ("years", [2004, 2002]), ("years", ["2003", "2004"]),
         ("replicates", 2.5), ("replicates", True), ("replicates", "2"),
+        ("years", 2003), ("bss", 3), ("airports", "SBGR"), ("classifiers", "NB"),
     ])
-    def test_run_refuses_bad_years_and_replicates(self, tmp_path, synth_spec_file, capsys,
-                                                  key, value):
+    def test_run_refuses_bad_grid_values(self, tmp_path, synth_spec_file, capsys, key, value):
         rows_path = tmp_path / "rows.npz"
         assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
         out = tmp_path / "results.csv"
