@@ -2,8 +2,9 @@
 
 Two consecutive training windows are compared through their weekly delay
 proportions: each vector's normality is assessed with Shapiro-Wilk AND the
-Lilliefors KS test (normal iff both p-values are at least alpha, and the
-parametric branch requires both vectors normal); means are then compared
+Lilliefors KS test (normal iff both p-values are at least alpha, the KS test
+run only when Shapiro-Wilk passes, and the parametric branch requires both
+vectors normal); means are then compared
 with Welch's t or Wilcoxon, variances with the F test or Levene. A detector
 flags drift when its own test's p-value is below alpha, or either test's
 for the combined detector. The tests in :mod:`driftlab.stats` only compute
@@ -124,9 +125,13 @@ def weekly_delay_proportions(
 
 
 def _is_normal(vector: np.ndarray, alpha: float) -> bool:
-    sw = stats.shapiro_wilk(vector)
-    ks = stats.ks_normality(vector)
-    return sw.p_value >= alpha and ks.p_value >= alpha
+    """Both p-values at least alpha. A Shapiro-Wilk rejection decides the
+    verdict, so the KS test (and the Lilliefors null table of its sample
+    size) runs only when Shapiro-Wilk passes; both tests refuse a constant
+    sample, so the skipped KS call could not have raised either."""
+    if stats.shapiro_wilk(vector).p_value < alpha:
+        return False
+    return stats.ks_normality(vector).p_value >= alpha
 
 
 def detect(detector: str, current: WeeklyProportions, previous: WeeklyProportions,

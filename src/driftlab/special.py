@@ -49,9 +49,12 @@ def norm_sf(x):
     return float(out) if np.ndim(out) == 0 else out
 
 
+SIGMOID_CLIP = 500.0
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, with z clipped to [-500, 500] so exp cannot overflow."""
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -SIGMOID_CLIP, SIGMOID_CLIP)))
 
 
 # Acklam's rational approximation to the normal quantile; relative error

@@ -114,7 +114,9 @@ def shapiro_wilk(sample) -> TestResult:
         raise ValueError(f"shapiro_wilk supports at most 5000 observations, got {n}")
     xs = np.sort(x)
     sse = float(np.sum((xs - xs.mean()) ** 2))
-    if sse <= 0.0:
+    # the constant-sample rule of ks_normality: the mean of a constant sample
+    # can round away from its value and leave sse just above 0
+    if xs[0] == xs[-1] or sse <= 0.0:
         raise DegenerateSampleError("degenerate sample: zero variance")
 
     n_half = n // 2

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import FlightFeatureRow
-from .special import sigmoid
+from .special import SIGMOID_CLIP, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -98,11 +98,43 @@ class SyntheticSpec:
         return tuple(f"x{i}" for i in range(len(self.numeric_weights)))
 
 
-def _probe_rate(c: float, probe_logits: np.ndarray) -> float:
-    return float(sigmoid(c + probe_logits).mean())
+class _Probe:
+    """sigmoid(c + z) over one calibration probe z, written into a buffer
+    allocated once: the float operations of special.sigmoid, in its order,
+    so every value is the same to the bit. (-c) - z is exactly -(c + z) and
+    the clip is symmetric, so the buffer holds -clip(c + z) before exp. The
+    clip is skipped when abs(c) + max|z| < SIGMOID_CLIP - 1, which proves
+    that it cannot bind: |c + z| is then below the clip bound, also after
+    rounding."""
+
+    def __init__(self, probe_logits: np.ndarray):
+        self.logits = probe_logits
+        self.max_abs = float(np.abs(probe_logits).max())
+        self.p = np.empty_like(probe_logits)
+        self.slope_terms = np.empty_like(probe_logits)
+
+    def sigmoid(self, c: float) -> np.ndarray:
+        p = self.p
+        np.subtract(-c, self.logits, out=p)
+        if not abs(c) + self.max_abs < SIGMOID_CLIP - 1.0:
+            np.clip(p, -SIGMOID_CLIP, SIGMOID_CLIP, out=p)
+        np.exp(p, out=p)
+        np.add(1.0, p, out=p)
+        return np.divide(1.0, p, out=p)
+
+    def rate(self, c: float) -> float:
+        return float(self.sigmoid(c).mean())
+
+    def rate_and_slope(self, c: float) -> tuple[float, float]:
+        """The rate and its derivative in c, mean(p(1-p))."""
+        p = self.sigmoid(c)
+        q = self.slope_terms
+        np.subtract(1.0, p, out=q)
+        np.multiply(p, q, out=q)
+        return float(p.mean()), float(q.mean())
 
 
-def _certified_bracket(target: float, probe_logits: np.ndarray) -> tuple[float, float]:
+def _certified_bracket(target: float, probe: _Probe) -> tuple[float, float]:
     """(below, above): the probe rate is certainly < target at every c <= below
     and >= target at every c >= above; -inf/inf where nothing is certified.
 
@@ -117,21 +149,20 @@ def _certified_bracket(target: float, probe_logits: np.ndarray) -> tuple[float, 
     uncertified = (-math.inf, math.inf)
     if not 0.0 < target < 1.0:
         return uncertified
-    c = min(max(math.log(target / (1.0 - target)) - float(probe_logits.mean()), -30.0), 30.0)
+    c = min(max(math.log(target / (1.0 - target)) - float(probe.logits.mean()), -30.0), 30.0)
     for _ in range(_NEWTON_STEPS):
-        p = sigmoid(c + probe_logits)
-        slope = float((p * (1.0 - p)).mean())
+        rate, slope = probe.rate_and_slope(c)
         if not slope > 0.0:
             return uncertified
-        step = (float(p.mean()) - target) / slope
+        step = (rate - target) / slope
         c = min(max(c - step, -30.0), 30.0)
         if abs(step) < _NEWTON_TOL:
             break
     delta = 4.0 * _PROBE_RATE_ERROR / slope
     below, above = c - delta, c + delta
-    if not _probe_rate(below, probe_logits) < target - 2.0 * _PROBE_RATE_ERROR:
+    if not probe.rate(below) < target - 2.0 * _PROBE_RATE_ERROR:
         below = -math.inf
-    if not _probe_rate(above, probe_logits) >= target + 2.0 * _PROBE_RATE_ERROR:
+    if not probe.rate(above) >= target + 2.0 * _PROBE_RATE_ERROR:
         above = math.inf
     return below, above
 
@@ -145,11 +176,12 @@ def _calibrate_intercept(target: float, probe_logits: np.ndarray) -> float:
     stops once a step leaves (lo, hi) unchanged, since the state decides the
     next step and every later step would repeat it.
     """
-    below, above = _certified_bracket(target, probe_logits)
+    probe = _Probe(probe_logits)
+    below, above = _certified_bracket(target, probe)
     lo, hi = -30.0, 30.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if mid <= below or (mid < above and _probe_rate(mid, probe_logits) < target):
+        if mid <= below or (mid < above and probe.rate(mid) < target):
             if mid == lo:
                 break
             lo = mid

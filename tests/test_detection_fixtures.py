@@ -18,7 +18,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from driftlab import drift, synth
+from driftlab import drift, stats, synth
 from driftlab.drift import DETECTORS, DetectionMemo, decide_drift, weekly_delay_proportions
 from driftlab.synth import DriftEvent, SyntheticSpec
 from driftlab.windowing import batch_sequence, partition_by_year
@@ -110,6 +110,46 @@ def test_fixtures_reach_every_branch():
     # thin weeks are dropped at the default minimum and kept at 1
     assert recorded["weekly"]["CCC|b1|2005|mwf1"][1] == 8
     assert recorded["weekly"]["CCC|b1|2005|mwf5"][1] == 6
+
+
+def _outcome(verdict, vector, alpha):
+    try:
+        return verdict(vector, alpha)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _both_tests(vector, alpha):
+    """The verdict as computed before KS was skipped: both tests always run."""
+    sw = stats.shapiro_wilk(vector)
+    ks = stats.ks_normality(vector)
+    return sw.p_value >= alpha and ks.p_value >= alpha
+
+
+def test_normality_verdict_is_that_of_both_tests():
+    """_is_normal runs the KS test only when Shapiro-Wilk passes; on every
+    window vector of the recorded world it gives the verdict (or the error)
+    of running both tests."""
+    rows = world()
+    alpha = drift.DEFAULT_ALPHA
+    outcomes = set()
+    for scale in SCALES:
+        stream = partition_by_year([r for r in rows if scale is None or r.origin_airport == scale],
+                                   YEARS)
+        for b in BSS:
+            for end in range(YEARS[0] + b - 1, YEARS[1] + 1):
+                for mwf in MIN_WEEK_FLIGHTS:
+                    try:
+                        vector = weekly_delay_proportions(batch_sequence(stream, end, b),
+                                                          mwf).proportions
+                    except drift.InsufficientWeeklySupportError:
+                        continue
+                    if vector.size < 4:
+                        continue
+                    both = _outcome(_both_tests, vector, alpha)
+                    assert _outcome(drift._is_normal, vector, alpha) == both
+                    outcomes.add(both)
+    assert {True, False} <= outcomes
 
 
 def record() -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_row, varied_weekly_rows, weekly_rows
-from driftlab import drift
+from driftlab import drift, stats
 from driftlab.drift import (DETECTORS, DetectionMemo, InsufficientWeeklySupportError,
                             WeeklyProportions, decide_drift, detect, weekly_delay_proportions)
 from driftlab.stats import DegenerateSampleError
@@ -126,6 +126,19 @@ class TestDetect:
         ok = proportions(noisy(0.2, seed=5))
         with pytest.raises(DegenerateSampleError):
             detect("mean", const, ok)
+
+    @pytest.mark.parametrize("value", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("n", [52, 104, 156])
+    def test_constant_vector_error_is_the_ks_refusal(self, value, n):
+        """Shapiro-Wilk refuses a constant vector before the KS test runs,
+        with the class and message the KS refusal had."""
+        with pytest.raises(DegenerateSampleError) as ks_refusal:
+            stats.ks_normality(np.full(n, value))
+        const = proportions([value] * n)
+        for dd in DETECTORS:
+            with pytest.raises(DegenerateSampleError) as refusal:
+                detect(dd, const, proportions(noisy(0.2, n=n, seed=5)))
+            assert str(refusal.value) == str(ks_refusal.value)
 
     def test_unknown_detector(self):
         vec = proportions(noisy(0.2, seed=6))

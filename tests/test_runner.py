@@ -266,6 +266,7 @@ class TestDriftAnalysis:
         from driftlab import drift, stats, strategy
         calls: dict[str, list] = {name: [] for name in (
             "decide_drift", "shapiro_wilk", "ks_normality", "mean", "variance")}
+        shapiro_wilk = stats.shapiro_wilk
 
         def spy(module, attr, log):
             real = getattr(module, attr)
@@ -303,9 +304,35 @@ class TestDriftAnalysis:
             ["mean", "variance", "mean_variance"] * len(detections))
         windows = {(b, t - lag) for b, t in detections for lag in (0, 1)}
         assert len(calls["shapiro_wilk"]) == len(windows)
-        assert len(calls["ks_normality"]) == len(windows)
+        # KS runs once per window that Shapiro-Wilk passes, and on no other
+        sw_passed = sorted(vector.tobytes() for (vector,) in calls["shapiro_wilk"]
+                           if shapiro_wilk(vector).p_value >= drift.DEFAULT_ALPHA)
+        assert 0 < len(sw_passed) < len(windows)
+        assert sorted(vector.tobytes() for (vector,) in calls["ks_normality"]) == sw_passed
         assert len(calls["mean"]) == len(detections)
         assert len(calls["variance"]) == len(detections)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3, 4))
+    def test_five_flight_weeks_build_no_lilliefors_table(self, tmp_path, monkeypatch, seed):
+        """With 5 flights a week every proportion is a multiple of 0.2, and
+        Shapiro-Wilk rejects each window, so no KS null table is built."""
+        from driftlab import stats
+        sw_calls = []
+        monkeypatch.setattr(stats, "_lilliefors_null_table",
+                            lambda *args: pytest.fail(f"null table built: {args}"))
+        shapiro_wilk = stats.shapiro_wilk
+        monkeypatch.setattr(stats, "shapiro_wilk",
+                            lambda x: sw_calls.append(x) or shapiro_wilk(x))
+        events = (synth.DriftEvent(at_year=4, kind="prior_shift", magnitude=0.3),
+                  synth.DriftEvent(at_year=3, kind="boundary_flip"))
+        rows, _ = synth.generate_stream(synth.SyntheticSpec(
+            years=5, weeks_per_year=52, flights_per_week=5, base_delay_rate=0.15,
+            seasonal_amplitude=0.3, drift_events=events, seed=seed))
+        grid = tiny_grid(years=(2003, 2004), bss=(1, 2, 3), replicates=1,
+                         detectors=("mean", "variance", "mean_variance"))
+        results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
+        assert results and not any(r["error"] for r in results)
+        assert sw_calls
 
     def test_manifest_written(self, tmp_path):
         rows = synth_rows(years=4)

@@ -34,6 +34,16 @@ class TestShapiroWilk:
         with pytest.raises(DegenerateSampleError):
             shapiro_wilk(np.full(20, 3.25))
 
+    # the float mean of these rounds away from the value, which left the sum
+    # of squares just above 0 and gave a tiny p-value instead of refusing
+    @pytest.mark.parametrize("value", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("n", [52, 104, 156])
+    def test_constant_weekly_proportions_refused_as_by_ks(self, value, n):
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
+            shapiro_wilk(np.full(n, value))
+        with pytest.raises(DegenerateSampleError, match="zero variance"):
+            ks_normality(np.full(n, value))
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             shapiro_wilk([1.0, 2.0])

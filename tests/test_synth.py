@@ -187,11 +187,40 @@ class TestCalibration:
         rng = np.random.default_rng(0)
         probe = rng.uniform(size=(100_000, 3)) @ np.array([2.5, -2.0, 1.5])
         calls = []
-        monkeypatch.setattr(synth, "sigmoid", lambda z: calls.append(1) or special.sigmoid(z))
+        evaluate = synth._Probe.sigmoid
+        monkeypatch.setattr(synth._Probe, "sigmoid",
+                            lambda self, c: calls.append(c) or evaluate(self, c))
         c = synth._calibrate_intercept(0.2, probe)
         monkeypatch.undo()
         assert c == plain_bisection(0.2, probe)
-        assert len(calls) <= 35  # the plain bisection makes 80
+        # every probe pass goes through the evaluator; the plain bisection makes 80
+        assert 0 < len(calls) <= 35
+
+    # The clip is skipped while abs(c) + max|z| < 499. Bisection mids reach
+    # |c| = 30 and approach 0, so probes with max|z| near 469 and near 499
+    # switch between the skipped and the applied clip within one calibration.
+    @pytest.mark.parametrize("edge", (469.0, 499.0))
+    @pytest.mark.parametrize("offset", (-1e-9, -1e-3, 1e-3, 1e-9))
+    def test_same_float_as_plain_bisection_at_the_clip_skip_bound(self, edge, offset):
+        rng = np.random.default_rng(31)
+        for sign in (1.0, -1.0):
+            probe = rng.uniform(-edge, edge, size=2000)
+            probe[7] = sign * (edge + offset)
+            assert float(np.abs(probe).max()) == edge + offset
+            for target in (0.001, 0.2, 0.5, 0.97):
+                assert synth._calibrate_intercept(target, probe) == plain_bisection(
+                    target, probe)
+
+    @pytest.mark.parametrize("max_abs", (0.5, 468.999, 469.001, 498.999, 499.001, 530.0))
+    def test_probe_sigmoid_is_special_sigmoid_to_the_bit(self, max_abs):
+        rng = np.random.default_rng(17)
+        z = rng.uniform(-max_abs, max_abs, size=501)
+        z[:2] = (max_abs, -max_abs)
+        probe = synth._Probe(z)
+        for c in (0.0, 1e-300, -0.75, 1.5, -1.5, 10.0, -10.0, -29.99, 30.0, -30.0, 31.0):
+            p = special.sigmoid(c + z)
+            assert np.array_equal(probe.sigmoid(c), p)
+            assert probe.rate_and_slope(c) == (float(p.mean()), float((p * (1.0 - p)).mean()))
 
 
 class TestSpecIO:
