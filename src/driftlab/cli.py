@@ -3,7 +3,8 @@
 Subcommands: preprocess a raw CSV into a row table, run a sweep from a
 config file, analyze a results table (topk / drifts / correlate), and
 generate a synthetic stream from a spec file. Exit code 0 on success,
-nonzero with a message on stderr for any fatal error.
+1 with a message on stderr for a refusal or any fatal error, and 3 when
+`run` finishes with error rows in its table (each named on stderr).
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def _cmd_run(args) -> int:
         model_store_dir=cfg.get("model_store"),
         **{key: cast(cfg[key]) for key, cast in _SWEEP_KEYS.items() if key in cfg},
     )
-    errors = sum(1 for r in results if r["error"])
-    print(f"{len(results)} result rows in {cfg['out']} ({errors} error markers)")
-    return 0
+    errors = [r for r in results if r["error"]]
+    print(f"{len(results)} result rows in {cfg['out']} ({len(errors)} error markers)")
+    for r in errors:
+        print(f"error row: {r['airport']} {r['classifier']} b={r['bss']} {r['strategy']}/"
+              f"{r['detector']} replicate {r['replicate']}: {r['error']}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 def _cmd_analyze(args) -> int:

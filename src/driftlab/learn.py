@@ -11,6 +11,7 @@ the zero vector.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
@@ -38,7 +39,7 @@ _VAR_FLOOR = 1e-9
 _PROB_EPS = 1e-12
 
 MODEL_FORMAT = "driftlab-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def canonical_kind(kind: str) -> str:
@@ -584,8 +585,6 @@ class TrainedModel:
     classifier: object
     normalizer: Normalizer
     vocabs: tuple[dict, ...]
-    training_window: tuple[int, int] | None = None  # (end year, b)
-    single_class: bool = False
 
     @property
     def vocab_sizes(self) -> list[int]:
@@ -609,7 +608,7 @@ def _classifier(spec: ModelSpec):
     return cls(seed=spec.seed, **spec.hyperparameters)
 
 
-def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None) -> TrainedModel:
+def train(spec: ModelSpec, rows) -> TrainedModel:
     """Fit the spec'd classifier on the rows: refit the min-max normalizer
     on this window, encode categories from this window's vocabularies, then
     fit. Single-class windows are allowed but flagged (NB/RF degenerate to a
@@ -624,8 +623,7 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
     codes = _encode(cats, vocabs)
     vocab_sizes = [len(v) for v in vocabs]
 
-    single_class = np.unique(y).size < 2
-    if single_class:
+    if np.unique(y).size < 2:
         log.warning("train: single-class training window (all delayed=%d); "
                     "model degenerates to a constant predictor", int(y[0]))
 
@@ -636,9 +634,7 @@ def train(spec: ModelSpec, rows, training_window: tuple[int, int] | None = None)
         clf.fit(numeric, codes, y)
     else:
         clf.fit(np.hstack([numeric, one_hot(codes, vocab_sizes)]), y)
-    return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer,
-                        vocabs=vocabs, training_window=training_window,
-                        single_class=single_class)
+    return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer, vocabs=vocabs)
 
 
 def predict(model: TrainedModel, rows) -> np.ndarray:
@@ -720,119 +716,73 @@ def grid_search_cv(kind: str, grid: list[dict], rows, k: int, seed: int = 0) -> 
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned, self-describing JSON)
+# Serialization (versioned npz of the fitted arrays)
 # ---------------------------------------------------------------------------
 
-_NODE_COLUMNS = ("feature", "threshold", "majority_left", "right", "value",
-                 "left_levels", "right_levels")
+_TREE_ARRAYS = ("feature", "threshold", "majority_left", "children", "value", "route",
+                "routes", "seen")
+_FITTED_ARRAYS = {KIND_NB: ("classes", "log_priors", "means", "variances"),
+                  KIND_MLP: ("W1", "b1", "W2", "b2")}
 
 
-def _node_columns(tree: DecisionTree) -> dict:
-    """The columns of the tree's node rows (see DecisionTree._set_nodes),
-    less the left child: at an inner node it is the next node. threshold
-    is None off numeric nodes, and majority_left is 0 or 1."""
-    left_levels = [None] * tree.value.size
-    right_levels = [None] * tree.value.size
-    # every node but the categorical ones points at the last, all-False block
-    for i in np.flatnonzero(tree.route < tree.routes.size - tree.width).tolist():
-        block = slice(tree.route[i], tree.route[i] + tree.width)
-        goes_left, seen = tree.routes[block], tree.seen[block]
-        left_levels[i] = np.flatnonzero(seen & goes_left).tolist()
-        right_levels[i] = np.flatnonzero(seen & ~goes_left).tolist()
-    return {"feature": tree.feature.tolist(),
-            "threshold": [None if t == -math.inf else t for t in tree.threshold.tolist()],
-            "majority_left": tree.majority_left.astype(int).tolist(),
-            "right": tree.children[:, 1].tolist(),
-            "value": tree.value.tolist(),
-            "left_levels": left_levels,
-            "right_levels": right_levels}
-
-
-def _node_rows(columns: dict) -> list:
-    """The node rows that _node_columns wrote, for DecisionTree._set_nodes."""
-    return [[feature, -math.inf if threshold is None else threshold, majority_left,
-             -1 if value >= 0 else i + 1, right, value, left_levels, right_levels]
-            for i, (feature, threshold, majority_left, right, value, left_levels, right_levels)
-            in enumerate(zip(*(columns[k] for k in _NODE_COLUMNS)))]
-
-
-def model_to_dict(model: TrainedModel) -> dict:
-    clf = model.classifier
-    if model.spec.kind == KIND_NB:
-        payload = {
-            "classes": clf.classes.tolist(),
-            "log_priors": clf.log_priors.tolist(),
-            "means": clf.means.tolist(),
-            "variances": clf.variances.tolist(),
-            "cat_log_probs": [t.tolist() for t in clf.cat_log_probs],
-        }
-    elif model.spec.kind == KIND_RF:
-        payload = {"trees": [_node_columns(tree) for tree in clf.trees]}
+def model_bytes(model: TrainedModel) -> bytes:
+    """The model file: an np.savez_compressed archive. Its header member is
+    a JSON string of the format, version, spec and each tree's width; the
+    others are the normalizer's arrays, each vocabulary in code order, and
+    the classifier's fitted arrays under their attribute names (per tree
+    "tree.<i>.<name>", per NB table "cat_log_probs.<j>"). The archive's
+    entries carry a fixed date, so one model always gives the same bytes."""
+    spec, clf = model.spec, model.classifier
+    header = {"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION,
+              "spec": {"kind": spec.kind, "hyperparameters": spec.hyperparameters,
+                       "seed": spec.seed}}
+    arrays = {f"normalizer.{name}": getattr(model.normalizer, name)
+              for name in ("mins", "maxs", "means")}
+    for j, vocab in enumerate(model.vocabs):
+        arrays[f"vocab.{j}"] = np.array(sorted(vocab, key=vocab.get))
+    if spec.kind == KIND_RF:
+        header["widths"] = [int(tree.width) for tree in clf.trees]
+        for i, tree in enumerate(clf.trees):
+            arrays.update({f"tree.{i}.{name}": getattr(tree, name) for name in _TREE_ARRAYS})
     else:
-        payload = {"W1": clf.W1.tolist(), "b1": clf.b1.tolist(),
-                   "W2": clf.W2.tolist(), "b2": clf.b2.tolist()}
-    return {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "kind": model.spec.kind,
-        "spec": {"kind": model.spec.kind, "hyperparameters": model.spec.hyperparameters,
-                 "seed": model.spec.seed},
-        "normalizer": {"mins": model.normalizer.mins.tolist(),
-                       "maxs": model.normalizer.maxs.tolist(),
-                       "means": model.normalizer.means.tolist()},
-        "vocabs": [[str(k) for k in sorted(v, key=v.get)] for v in model.vocabs],
-        "vocab_kinds": ["int" if model.vocabs[j] and
-                        all(isinstance(k, int) for k in model.vocabs[j]) else "str"
-                        for j in range(len(model.vocabs))],
-        "training_window": list(model.training_window) if model.training_window else None,
-        "single_class": model.single_class,
-        "payload": payload,
-    }
-
-
-def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')}")
-    spec = ModelSpec(**doc["spec"])
-    clf = _classifier(spec)
-    payload = doc["payload"]
+        arrays.update({name: getattr(clf, name) for name in _FITTED_ARRAYS[spec.kind]})
     if spec.kind == KIND_NB:
-        clf.classes = np.array(payload["classes"], dtype=int)
-        clf.log_priors = np.array(payload["log_priors"])
-        clf.means = np.array(payload["means"])
-        clf.variances = np.array(payload["variances"])
-        clf.cat_log_probs = [np.array(t) for t in payload["cat_log_probs"]]
-    elif spec.kind == KIND_RF:
-        for columns in payload["trees"]:
+        arrays.update({f"cat_log_probs.{j}": t for j, t in enumerate(clf.cat_log_probs)})
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, allow_pickle=False, header=np.array(json.dumps(header)),
+                        **arrays)
+    return buffer.getvalue()
+
+
+def _model_from_archive(header: dict, archive) -> TrainedModel:
+    """The model that model_bytes wrote as this header and archive."""
+    spec = ModelSpec(**header["spec"])
+    clf = _classifier(spec)
+    if spec.kind == KIND_RF:
+        for i, width in enumerate(header["widths"]):
             tree = DecisionTree(clf.mtry, None, clf.max_depth)
-            tree._set_nodes(_node_rows(columns))
+            tree.width = width
+            for name in _TREE_ARRAYS:
+                setattr(tree, name, archive[f"tree.{i}.{name}"])
             clf.trees.append(tree)
     else:
-        clf.W1 = np.array(payload["W1"])
-        clf.b1 = np.array(payload["b1"])
-        clf.W2 = np.array(payload["W2"])
-        clf.b2 = np.array(payload["b2"])
-    vocabs = []
-    for j, values in enumerate(doc["vocabs"]):
-        cast = int if doc["vocab_kinds"][j] == "int" else str
-        vocabs.append({cast(v): code for code, v in enumerate(values)})
-    normalizer = Normalizer(mins=np.array(doc["normalizer"]["mins"]),
-                            maxs=np.array(doc["normalizer"]["maxs"]),
-                            means=np.array(doc["normalizer"]["means"]))
-    window = tuple(doc["training_window"]) if doc["training_window"] else None
-    return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer,
-                        vocabs=tuple(vocabs), training_window=window,
-                        single_class=doc["single_class"])
+        for name in _FITTED_ARRAYS[spec.kind]:
+            setattr(clf, name, archive[name])
+    vocabs = tuple({value: code for code, value in enumerate(archive[f"vocab.{j}"].tolist())}
+                   for j in range(len(CAT_COLUMNS)))
+    if spec.kind == KIND_NB:
+        clf.cat_log_probs = [archive[f"cat_log_probs.{j}"] for j in range(len(vocabs))]
+    normalizer = Normalizer(**{name: archive[f"normalizer.{name}"]
+                               for name in ("mins", "maxs", "means")})
+    return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer, vocabs=vocabs)
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it over
-    path: path holds its old content or all of text, never part of it."""
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write data to a temporary file next to path, then rename it over
+    path: path holds its old content or all of data, never part of it."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -840,8 +790,23 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    write_atomic(Path(path), json.dumps(model_to_dict(model)))
+    write_atomic(Path(path), model_bytes(model))
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The model save_model wrote to path. Loading never unpickles, and a
+    file of another format or version (formats 1 and 2 were JSON) raises
+    ValueError naming the file."""
+    path = Path(path)
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError):  # neither .npy nor .npz, or empty
+        archive = None
+    if isinstance(archive, np.lib.npyio.NpzFile):
+        with archive:
+            header = json.loads(archive["header"].item()) if "header" in archive.files else {}
+            if (header.get("format"), header.get("version")) == (MODEL_FORMAT,
+                                                                 MODEL_FORMAT_VERSION):
+                return _model_from_archive(header, archive)
+    raise ValueError(f"{path} is not a {MODEL_FORMAT} file of format version "
+                     f"{MODEL_FORMAT_VERSION}")

@@ -255,9 +255,12 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     deterministic, a recomputed partial cell reproduces its already-written
     rows and only missing ones are appended. A restart drops a torn last
     line and raises ValueError when the table's manifest is missing or
-    records another config. A failing cell writes an error-marker row
-    (t=-1) and does not abort the sweep; a restart treats that cell as
-    complete, so deleting its error row is how to retry it.
+    records another config. A cell that fails with a ValueError (every data
+    refusal raises one) writes an error-marker row (t=-1) and does not abort
+    the sweep; a restart treats that cell as complete, so deleting its error
+    row is how to retry it. Any other exception (out of memory, a full disk,
+    a bug) propagates once the rows already written are flushed, and a
+    restart reruns the unit it stopped.
 
     Each scale's stream gets one drift.DetectionMemo, passed to every
     run_stream call on it: each (b, detector, t) decision, and the weekly
@@ -342,7 +345,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                                       min_week_flights=min_week_flights, replicate=rep,
                                       store=store, store_airport=airport,
                                       memo=memos[airport])
-                except Exception as exc:  # a failing stream must not abort the sweep
+                except ValueError as exc:  # a data refusal must not abort the sweep
                     log.exception("cells %s failed", cells)
                     runs = [StreamRun(error=exc) for _ in cells]
                 for cell, run in zip(cells, runs):

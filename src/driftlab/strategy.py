@@ -47,11 +47,11 @@ class StepResult:
 
 @dataclass
 class StreamRun:
-    """One cell's run; error is the exception that ended it early, if any."""
+    """One cell's run; error is the ValueError that ended it early, if any."""
     steps: list[StepResult] = field(default_factory=list)
     trainings_done: int = 0
     current_model: TrainedModel | None = None
-    error: Exception | None = None
+    error: ValueError | None = None
 
 
 def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]:
@@ -91,8 +91,9 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                memo: DetectionMemo | None = None) -> list[StreamRun]:
     """Run each (strategy, detector) cell over the steps its strategy
     records (recorded_step_years); one StreamRun per cell, in order. Each
-    step of windowing.step_years a strategy skips gets one log line. An
-    error ends only its cell. Decisions come from memo, which must belong
+    step of windowing.step_years a strategy skips gets one log line. A
+    ValueError, which every data refusal raises, ends only its cell; any
+    other exception propagates. Decisions come from memo, which must belong
     to this stream; without one, the call makes its own. replicate keys the
     models saved to store.
     """
@@ -130,8 +131,8 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                         lambda: decide_drift(dd, dh, d_i, d_j, alpha=alpha,
                                              min_week_flights=min_week_flights, memo=memo))
                 if train_flag:
-                    run.current_model = once(shared, "model", lambda: learn.train(
-                        spec, d_i.rows, training_window=(t, b)))
+                    run.current_model = once(shared, "model",
+                                             lambda: learn.train(spec, d_i.rows))
                     run.trainings_done += 1
                     if store is not None:
                         name = once(shared, "object", lambda: store.put(run.current_model))
@@ -141,7 +142,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                 confusion, metrics = once(shared, model, lambda: _score(model, test_batch))
                 run.steps.append(StepResult(t=t, trained=train_flag, drift=decision,
                                             confusion=confusion, metrics=metrics))
-            except Exception as exc:  # ends this cell only
+            except ValueError as exc:  # a data refusal ends this cell only
                 log.exception("%s/%s failed at t=%d", dh, dd, t)
                 run.error = exc
     return runs
@@ -150,7 +151,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
 class ModelStore:
     """Directory of serialized models keyed by
     (airport|SB, kind, dd, dh, b, replicate). Each distinct model is written
-    once, as objects/<sha256 of its bytes>.json; each key directory keeps a
+    once, as objects/<sha256 of its bytes>.npz; each key directory keeps a
     manifest whose history lists the (t, object) of every training step and
     whose latest names the last object. Both are written through
     learn.write_atomic, so an existing file is always whole."""
@@ -167,10 +168,10 @@ class ModelStore:
 
     def put(self, model: TrainedModel) -> str:
         """Write the model as an object unless that object exists; its name."""
-        text = json.dumps(learn.model_to_dict(model))
-        path = self.objects / f"{hashlib.sha256(text.encode()).hexdigest()}.json"
+        data = learn.model_bytes(model)
+        path = self.objects / f"{hashlib.sha256(data).hexdigest()}.npz"
         if not path.exists():
-            learn.write_atomic(path, text)
+            learn.write_atomic(path, data)
         return path.name
 
     def record(self, name: str, airport: str | None, kind: str, dd: str, dh: str,
@@ -189,7 +190,7 @@ class ModelStore:
         if entry not in manifest["history"]:
             manifest["history"].append(entry)
         manifest["latest"] = name
-        learn.write_atomic(manifest_path, json.dumps(manifest, indent=2))
+        learn.write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
 
     def load_latest(self, airport: str | None, kind: str, dd: str, dh: str,
                     b: int, replicate: int) -> TrainedModel:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from driftlab import ingest, runner, synth
+from driftlab import ingest, learn, runner, synth
 from driftlab.cli import main
 from driftlab.strategy import ModelStore
 
@@ -19,7 +19,7 @@ def synth_spec_file(tmp_path):
     return path
 
 
-def run_pipeline(tmp_path, synth_spec_file, **config_keys):
+def run_pipeline(tmp_path, synth_spec_file, exit_code=0, **config_keys):
     rows_path = tmp_path / "rows.npz"
     assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
     config = {
@@ -34,7 +34,7 @@ def run_pipeline(tmp_path, synth_spec_file, **config_keys):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert main(["run", "--config", str(cfg_path)]) == exit_code
     return tmp_path / "results.csv"
 
 
@@ -135,9 +135,32 @@ class TestRunAndAnalyze:
             key = manifest["key"]
             latest = ModelStore(store).load_latest(key["airport"], key["kind"], key["dd"],
                                                    key["dh"], key["b"], key["replicate"])
-            assert latest.training_window == (manifest["history"][-1]["t"], key["b"])
+            assert latest.spec.kind == key["kind"]
+            assert manifest["latest"] == names[-1]
+            assert [entry["t"] for entry in manifest["history"]] == sorted(
+                {entry["t"] for entry in manifest["history"]})
+            assert manifest_path.parent.name.endswith(f"__b{key['b']}__r{key['replicate']}")
         assert used == set(objects)  # no object is left unreferenced
         assert len(objects) < entries  # cells that train the same model share its object
+
+    def test_run_exits_3_and_names_the_cells_of_error_rows(self, tmp_path, synth_spec_file,
+                                                            capsys, monkeypatch):
+        def fit(self, numeric, codes, y):
+            raise ValueError("tree cannot be grown")
+        monkeypatch.setattr(learn.DecisionTree, "fit", fit)
+        grid = {"airports": ["SB"], "classifiers": ["NB", "RF"], "years": [2002, 2003],
+                "bss": [1], "detectors": ["mean"], "strategies": ["passive"], "replicates": 2}
+        hp = {"NB": {"smoothing": 0.5}, "RF": {"trees_count": 2, "predictors_per_split": 2}}
+        results_path = run_pipeline(tmp_path, synth_spec_file, exit_code=3, grid=grid,
+                                    hyperparameters=hp)
+        captured = capsys.readouterr()
+        assert "4 result rows" in captured.out and "(2 error markers)" in captured.out
+        assert captured.err.splitlines() == [
+            f"error row: SB RF b=1 passive/na replicate {rep}: ValueError: tree cannot be grown"
+            for rep in (0, 1)]
+        # a resume finds the error rows in the table and exits 3 again
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 3
+        assert len(runner.load_results(results_path)) == 4
 
     def test_k_list_syntax(self, tmp_path, synth_spec_file, capsys):
         results_path = run_pipeline(tmp_path, synth_spec_file)

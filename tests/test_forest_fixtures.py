@@ -2,11 +2,12 @@
 
 ``tests/golden/forest_fixtures.json`` holds, for each forest below, its
 predictions on the training rows plus rows with unseen levels, and the
-sha256 of the JSON that ``save_model`` writes. ``tests/golden/rf_model.json``
+sha256 of the bytes that ``save_model`` writes. ``tests/golden/rf_model.npz``
 is one of those models as a file. The predictions date from the trees that
 preceded the flat node arrays; the sha256s and the file are of model format
-version 2, which stores each tree as the columns of its node rows (numpy
-2.4.6). Re-record with ``PYTHONPATH=src python tests/test_forest_fixtures.py``
+version 3, an ``np.savez_compressed`` archive of each tree's fitted arrays.
+Those bytes are pinned at numpy 2.4.6 (its zip and npy writers and its
+zlib). Re-record with ``PYTHONPATH=src python tests/test_forest_fixtures.py``
 only when a change of the model format is intended, and check that no
 ``predictions`` string moves.
 """
@@ -20,11 +21,11 @@ import numpy as np
 import pytest
 
 from driftlab import synth
-from driftlab.learn import ModelSpec, load_model, model_to_dict, predict, save_model, train
+from driftlab.learn import ModelSpec, load_model, model_bytes, predict, save_model, train
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = GOLDEN / "forest_fixtures.json"
-MODEL_FILE = GOLDEN / "rf_model.json"
+MODEL_FILE = GOLDEN / "rf_model.npz"
 
 # the benchmark's grid_sweep forest, a forest grown to purity, and one that
 # draws every feature at each node (so categorical splits compete everywhere)
@@ -60,10 +61,6 @@ def probe_rows(rows):
             + [dataclasses.replace(r, origin_airport="XXXX") for r in head]
             + [dataclasses.replace(r, destination_state="ZZ", week_of_year=60,
                                    origin_airport="XXXX") for r in head])
-
-
-def model_bytes(model) -> bytes:
-    return json.dumps(model_to_dict(model)).encode()
 
 
 def record() -> None:
@@ -104,8 +101,8 @@ def test_recorded_model_file_predicts_and_round_trips(rows):
 def test_loaded_trees_equal_the_fitted_arrays(rows, tmp_path, name):
     hp, seed = FORESTS[name]
     model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), rows)
-    save_model(model, tmp_path / "rf.json")
-    loaded = load_model(tmp_path / "rf.json")
+    save_model(model, tmp_path / "rf.npz")
+    loaded = load_model(tmp_path / "rf.npz")
     assert len(loaded.classifier.trees) == len(model.classifier.trees)
     for fitted, tree in zip(model.classifier.trees, loaded.classifier.trees):
         for name in ("feature", "threshold", "children", "value", "majority_left", "route",
@@ -120,14 +117,14 @@ def test_fixtures_reach_unseen_levels_and_both_split_kinds(rows):
     n = len(rows)
     seen, unseen_state = expected[:60], expected[n:n + 60]
     assert seen != unseen_state
-    doc = json.loads(MODEL_FILE.read_text())
     kinds = set()
-    for tree in doc["payload"]["trees"]:
-        for value, threshold, levels in zip(tree["value"], tree["threshold"],
-                                            tree["left_levels"]):
-            if value < 0:  # an inner node: a threshold or level lists
-                kinds.add("num" if threshold is not None else "cat")
-                assert (threshold is None) == (levels is not None)
+    for tree in load_model(MODEL_FILE).classifier.trees:
+        # every node but the categorical ones points at the last, all-False block
+        categorical = tree.route < tree.routes.size - tree.width
+        for value, threshold, cat in zip(tree.value, tree.threshold, categorical):
+            if value < 0:  # an inner node: a threshold or a block of routes
+                kinds.add("num" if threshold > -np.inf else "cat")
+                assert (threshold == -np.inf) == cat
     assert kinds == {"num", "cat"}
 
 

@@ -7,8 +7,10 @@ copying what ``drift_analysis`` writes for each config. The criterion 9
 table is checked inside ``test_acceptance.test_criterion_9_grid_integrity``.
 
 ``b3_rf_mlp_models.sha256`` is the ``tree_digest`` of the model store that
-``b3_sweep`` writes; re-record it by writing that digest, only when a change
-of the model format or of the store layout is intended.
+``b3_sweep`` writes: manifests and model format 3 objects, whose
+``np.savez_compressed`` bytes are pinned at numpy 2.4.6. Re-record it by
+writing that digest, only when a change of the model format or of the store
+layout is intended.
 ``b3_store_predictions.json`` holds each stored model's predictions on the
 stream's last two years, and must not move with such a change. Re-record it
 with ``PYTHONPATH=src python tests/test_golden.py`` only when a change of the
@@ -75,12 +77,12 @@ def test_b3_rf_mlp_results_bytes(tmp_path):
 
 def test_b3_sweep_serializes_each_model_once(tmp_path, monkeypatch):
     serialized = []
-    real = learn.model_to_dict
+    real = learn.model_bytes
 
-    def model_to_dict(model):
+    def model_bytes(model):
         serialized.append(model)
         return real(model)
-    monkeypatch.setattr(learn, "model_to_dict", model_to_dict)
+    monkeypatch.setattr(learn, "model_bytes", model_bytes)
     b3_sweep(tmp_path / "results.csv", tmp_path / "models")
     # the 16 models of the store, each shared by every cell that trained it
     assert len(serialized) == 16

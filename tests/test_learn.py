@@ -1,5 +1,8 @@
 import json
 import math
+import pickle
+import re
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from conftest import make_row
 from driftlab.ingest import apply_normalizer, fit_normalizer
 from driftlab.learn import (MLP, ConfusionCounts, DecisionTree, ModelSpec,
                             canonical_kind, compute_metrics, confusion_from_predictions,
-                            default_grid, grid_search_cv, load_model, model_to_dict, one_hot,
+                            default_grid, grid_search_cv, load_model, model_bytes, one_hot,
                             predict, save_model, train, _build_vocabs, _encode, _extract)
 
 
@@ -217,7 +220,7 @@ class TestNaiveBayes:
         rows = [make_row(delayed=1, week=w, features=(w / 10, 0.5)) for w in range(1, 9)]
         with caplog.at_level("WARNING"):
             model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}), rows)
-        assert model.single_class
+        assert "single-class training window" in caplog.text
         preds = predict(model, rows)
         assert np.all(preds == 1)
 
@@ -265,14 +268,18 @@ class TestRandomForest:
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
         model = train(spec, rows)
-        columns = model_to_dict(model)["payload"]["trees"][0]
-        root = {name: column[0] for name, column in columns.items()}
+        tree = model.classifier.trees[0]
+        # the root's block of routes/seen flags; only categorical nodes own one
+        block = slice(tree.route[0], tree.route[0] + tree.width)
+        goes_left, seen = tree.routes[block], tree.seen[block]
+        levels = {"left": np.flatnonzero(seen & goes_left).tolist(),
+                  "right": np.flatnonzero(seen & ~goes_left).tolist()}
         # feature 3 follows the two numeric columns and the origin: the state
-        assert (root["left_levels"] is not None, root["feature"]) == (True, 3)
-        majority, minority = ("left", "right") if root["majority_left"] else ("right", "left")
+        assert (tree.route[0] < tree.routes.size - tree.width, tree.feature[0]) == (True, 3)
+        majority, minority = ("left", "right") if tree.majority_left[0] else ("right", "left")
         state_of = {code: state for state, code in model.vocabs[1].items()}
-        majority_state = state_of[root[majority + "_levels"][0]]
-        minority_state = state_of[root[minority + "_levels"][0]]
+        majority_state = state_of[levels[majority][0]]
+        minority_state = state_of[levels[minority][0]]
         preds = predict(model, [make_row(state=s) for s in (majority_state, minority_state, "ZZZ")])
         assert preds[0] != preds[1]
         assert preds[2] == preds[0]
@@ -470,10 +477,6 @@ class TestMetrics:
             ConfusionCounts(tp=-1, fp=0, fn=0, tn=0)
 
 
-def refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
-
-
 class TestSerialization:
     @pytest.mark.parametrize("kind,hp,single_class", [
         pytest.param("NB", {"smoothing": 0.5}, False, id="NB-hp0"),
@@ -490,28 +493,82 @@ class TestSerialization:
         spec = ModelSpec(kind=kind, hyperparameters=hp, seed=6)
         window = [r for r in toy_separable_rows if r.delayed == 0] if single_class \
             else toy_separable_rows
-        model = train(spec, window, training_window=(2003, 1))
-        path = tmp_path / "model.json"
+        model = train(spec, window)
+        path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.spec == model.spec
-        assert loaded.training_window == (2003, 1)
-        assert loaded.single_class == single_class
+        # the int week codes come back as ints, the state codes as strings
+        assert loaded.vocabs == model.vocabs
         assert np.array_equal(predict(model, toy_separable_rows),
                               predict(loaded, toy_separable_rows))
-        doc = json.loads(path.read_text(), parse_constant=refuse_constant)
-        assert doc["format"] == "driftlab-model" and doc["version"] == 2
-        sizes = [len(tree["value"]) for tree in doc["payload"].get("trees", [])]
+        with np.load(path, allow_pickle=False) as archive:
+            header = json.loads(archive["header"].item())
+        assert (header["format"], header["version"]) == ("driftlab-model", 3)
+        sizes = [tree.value.size for tree in getattr(loaded.classifier, "trees", [])]
         if single_class:
             assert sizes == [1, 1, 1]
         elif "max_depth" in hp:
             assert max(sizes) == 3
 
+    @pytest.mark.parametrize("kind,hp", [
+        ("NB", {"smoothing": 0.5}),
+        ("RF", {"trees_count": 3, "predictors_per_split": 2}),
+        ("MLP", {"hidden_neurons": 4, "learning_rate": 0.3, "epochs": 5}),
+    ])
+    def test_two_saves_give_identical_bytes(self, tmp_path, toy_separable_rows, monkeypatch,
+                                            kind, hp):
+        """The model store names an object by the sha256 of its bytes, so a
+        model gives the same bytes whenever it is saved."""
+        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=6), toy_separable_rows)
+        save_model(model, tmp_path / "first.npz")
+        a_year_later = time.time() + 366 * 86400
+        monkeypatch.setattr(time, "time", lambda: a_year_later)
+        save_model(model, tmp_path / "second.npz")
+        first = (tmp_path / "first.npz").read_bytes()
+        assert (tmp_path / "second.npz").read_bytes() == first
+        assert model_bytes(load_model(tmp_path / "first.npz")) == first
+
     def test_refuses_format_version_1(self, tmp_path):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"format": "driftlab-model", "version": 1}))
-        with pytest.raises(ValueError, match="unsupported model format version 1"):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)
+
+    def test_refuses_format_2_json_and_an_npz_without_header(self, tmp_path):
+        v2 = tmp_path / "v2.json"
+        v2.write_text(json.dumps({"format": "driftlab-model", "version": 2, "payload": {}}))
+        headerless = tmp_path / "headerless.npz"
+        np.savez(headerless, W1=np.zeros((2, 2)))
+        old_header = tmp_path / "old_header.npz"
+        np.savez(old_header, header=np.array(json.dumps({"format": "driftlab-model",
+                                                         "version": 2})))
+        empty = tmp_path / "empty.npz"
+        empty.write_bytes(b"")
+        for path in (v2, headerless, old_header, empty):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_model(path)
+
+    def test_loading_never_unpickles(self, tmp_path, toy_separable_rows, monkeypatch):
+        def no_unpickling(*args, **kwargs):
+            raise AssertionError("unpickled")
+        monkeypatch.setattr(pickle, "load", no_unpickling)
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}),
+                      toy_separable_rows)
+        pickled = tmp_path / "model.pkl"
+        pickled.write_bytes(pickle.dumps(model))
+        with pytest.raises(ValueError, match=re.escape(str(pickled))):
+            load_model(pickled)
+        # a format 3 header over an object array
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        members["vocab.0"] = np.array(list(model.vocabs[0]), dtype=object)
+        objects = tmp_path / "objects.npz"
+        np.savez(objects, **members)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            load_model(objects)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,10 +2,11 @@
 
 ``tests/golden/mlp_fixtures.json`` holds, for each fit below, the sha256 of
 its W1, b1, W2 and b2 bytes, its predictions on the training rows plus rows
-with unseen levels, and the sha256 of the JSON that ``save_model`` writes.
+with unseen levels, and the sha256 of the bytes that ``save_model`` writes.
 The weights and predictions were recorded while ``MLP.fit`` still computed
 the cross-entropy of every minibatch and a per-epoch loss history, the
-model sha256s for model format version 2 (numpy 2.4.6). Re-record with
+model sha256s for model format version 3, an ``np.savez_compressed``
+archive whose bytes are pinned at numpy 2.4.6. Re-record with
 ``PYTHONPATH=src python tests/test_mlp_fixtures.py`` only when a change of
 the trained weights or of the model format is intended.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from driftlab import synth
-from driftlab.learn import ModelSpec, load_model, model_to_dict, predict, save_model, train
+from driftlab.learn import ModelSpec, load_model, model_bytes, predict, save_model, train
 
 FIXTURES = Path(__file__).parent / "golden" / "mlp_fixtures.json"
 
@@ -85,10 +86,6 @@ def predictions(model) -> str:
     return "".join(map(str, predict(model, probe_rows())))
 
 
-def model_bytes(model) -> bytes:
-    return json.dumps(model_to_dict(model)).encode()
-
-
 def record() -> None:
     out = {}
     for name in FITS:
@@ -111,7 +108,7 @@ def test_mlp_weights_predictions_and_model_json(name):
 @pytest.mark.parametrize("name", ["grid_sweep", "batch_7"])
 def test_saved_model_file_reloads_byte_for_byte(tmp_path, name):
     expected = json.loads(FIXTURES.read_text())[name]
-    path = tmp_path / "mlp.json"
+    path = tmp_path / "mlp.npz"
     save_model(trained(name), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == expected["model_sha256"]
     model = load_model(path)
@@ -130,7 +127,7 @@ def test_fixtures_reach_unseen_levels_and_both_labels():
                for name in ("default_grid", "batch_7", "full_batch", "one_hidden"))
     assert any(fixtures[name]["predictions"][:60] != fixtures[name]["predictions"][n + 180:]
                for name in FITS)
-    assert trained("single_class").single_class
+    assert {r.delayed for r in window("single_class")} == {0}
 
 
 if __name__ == "__main__":

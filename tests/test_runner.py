@@ -216,14 +216,14 @@ class TestDriftAnalysis:
 
         def grid_search_cv(kind, grid, rows, k, seed):
             searches.append(kind)
-            raise RuntimeError("search failed")
+            raise ValueError("search failed")
         monkeypatch.setattr(learn, "grid_search_cv", grid_search_cv)
         rows = synth_rows(years=5)
         grid = tiny_grid(years=(2002, 2004), classifiers=("RF",), bss=(1, 2), replicates=2)
         results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters={})
         assert searches == ["RF"]
         assert [(r["bss"], r["replicate"], r["t"], r["error"]) for r in results] == [
-            (b, rep, -1, "RuntimeError: search failed") for b in (1, 2) for rep in (0, 1)]
+            (b, rep, -1, "ValueError: search failed") for b in (1, 2) for rep in (0, 1)]
 
     def test_alias_keyed_hyperparameters_are_used(self, tmp_path, monkeypatch):
         searches, specs = [], []
@@ -367,27 +367,27 @@ class TestDriftAnalysis:
         grid = tiny_grid(years=(2001, 2004), strategies=("passive",), replicates=1)
         drift_analysis(rows, grid, tmp_path / "full.csv", hyperparameters=FAST_HP,
                        model_store_dir=tmp_path / "full_models")
-        write_text = Path.write_text
+        write_bytes = Path.write_bytes
         manifest_writes = []
 
-        def killed_in_third_manifest_write(self, text, *args, **kwargs):
+        def killed_in_third_manifest_write(self, data):
             if self.name.startswith("manifest.json"):
                 manifest_writes.append(self)
                 if len(manifest_writes) == 3:
-                    write_text(self, text[:len(text) // 2], *args, **kwargs)
+                    write_bytes(self, data[:len(data) // 2])
                     raise KeyboardInterrupt("killed mid-write")
-            return write_text(self, text, *args, **kwargs)
+            return write_bytes(self, data)
 
         out, store = tmp_path / "res.csv", tmp_path / "models"
-        monkeypatch.setattr(Path, "write_text", killed_in_third_manifest_write)
+        monkeypatch.setattr(Path, "write_bytes", killed_in_third_manifest_write)
         with pytest.raises(KeyboardInterrupt):
             drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
         monkeypatch.undo()
         manifest = json.loads((store / "SB__NB__mean__passive__b1__r0" / "manifest.json")
                               .read_text())
         assert [entry["t"] for entry in manifest["history"]] == [2001, 2002]
-        assert ModelStore(store).load_latest(None, "NB", "mean", "passive", 1, 0) \
-            .training_window == (2002, 1)
+        assert (manifest["key"]["b"], manifest["latest"]) == (1, manifest["history"][-1]["model"])
+        assert ModelStore(store).load_latest(None, "NB", "mean", "passive", 1, 0).spec.kind == "NB"
 
         drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
         assert out.read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -445,10 +445,10 @@ class TestDriftAnalysis:
         from driftlab import learn
         real_train = learn.train
 
-        def train(spec, rows, training_window=None):
-            if training_window[0] == 2003:
-                raise RuntimeError("no fit for 2003")
-            return real_train(spec, rows, training_window=training_window)
+        def train(spec, rows):
+            if rows[-1].year == 2003:
+                raise ValueError("no fit for 2003")
+            return real_train(spec, rows)
         monkeypatch.setattr(learn, "train", train)
         results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
 
@@ -468,9 +468,34 @@ class TestDriftAnalysis:
             if cell in trains_2003:
                 assert len(cell_rows) == 1
                 assert cell_rows[0]["t"] == -1
-                assert cell_rows[0]["error"] == "RuntimeError: no fit for 2003"
+                assert cell_rows[0]["error"] == "ValueError: no fit for 2003"
             else:
                 assert cell_rows == before[cell]
+
+    def test_unexpected_error_propagates_and_resume_completes_the_table(self, tmp_path,
+                                                                         monkeypatch):
+        """Only a ValueError becomes an error row. Running out of memory in
+        one training stops the sweep with the rows already written flushed,
+        and a resume without the fault writes the uninterrupted table."""
+        rows = synth_rows(years=5)
+        grid = tiny_grid(years=(2001, 2004), bss=(1, 2), strategies=("baseline", "passive"))
+        drift_analysis(rows, grid, tmp_path / "full.csv", hyperparameters=FAST_HP)
+        real_train = learn.train
+
+        def train(spec, rows):
+            if (rows[0].year, rows[-1].year) == (2002, 2003):  # the b=2 window ending in 2003
+                raise MemoryError("injected")
+            return real_train(spec, rows)
+        monkeypatch.setattr(learn, "train", train)
+        out = tmp_path / "res.csv"
+        with pytest.raises(MemoryError, match="injected"):
+            drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        written = load_results(out)
+        assert written and {r["bss"] for r in written} == {1}
+        assert not any(r["error"] for r in written)
+        monkeypatch.undo()
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert out.read_bytes() == (tmp_path / "full.csv").read_bytes()
 
     def test_detection_bug_is_an_error_not_a_retrain(self, tmp_path, monkeypatch):
         from driftlab import drift, stats

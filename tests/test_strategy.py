@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -165,9 +166,9 @@ class TestModelReuse:
         trained, predicted = [], []
         real_train, real_predict = learn.train, learn.predict
 
-        def train(spec, rows, training_window=None):
-            trained.append(training_window)
-            return real_train(spec, rows, training_window=training_window)
+        def train(spec, rows):
+            trained.append(rows[-1].year)
+            return real_train(spec, rows)
 
         def predict(model, rows):
             predicted.append((id(model), id(rows)))
@@ -176,7 +177,7 @@ class TestModelReuse:
         monkeypatch.setattr(learn, "predict", predict)
         runs = run_stream(stream, 1, cells, NB)
         # every model any cell trains is one of passive's, trained once
-        assert trained == [(t, 1) for t in range(2003, 2008)]
+        assert trained == list(range(2003, 2008))
         assert len(predicted) == len(set(predicted))
         assert len(predicted) < sum(len(run.steps) for run in runs)
         for run, single in zip(runs, alone):
@@ -188,10 +189,10 @@ class TestModelReuse:
         stream = alternating_stream()
         real_train = learn.train
 
-        def train(spec, rows, training_window=None):
-            if training_window[0] == 2005:
-                raise RuntimeError("no fit for 2005")
-            return real_train(spec, rows, training_window=training_window)
+        def train(spec, rows):
+            if rows[-1].year == 2005:
+                raise ValueError("no fit for 2005")
+            return real_train(spec, rows)
         monkeypatch.setattr(learn, "train", train)
         baseline, passive = run_stream(stream, 1, [("baseline", "mean"), ("passive", "mean")], NB)
         assert baseline.error is None
@@ -232,14 +233,15 @@ class TestModelStore:
                          store_airport=None, replicate=0)[0]
         assert run.trainings_done == 3
         loaded = store.load_latest(None, "NB", "mean", "passive", 1, 0)
-        assert loaded.training_window == (2005, 1)  # last trained step
+        manifest = json.loads((tmp_path / "models" / "SB__NB__mean__passive__b1__r0"
+                               / "manifest.json").read_text())
+        assert (manifest["history"][-1]["t"], manifest["key"]["b"]) == (2005, 1)  # last trained
         from driftlab.learn import predict
         rows = stream[-1].rows
         assert np.array_equal(predict(loaded, rows),
                               predict(run.current_model, rows))
 
     def test_manifest_tracks_history(self, tmp_path):
-        import json
         stream = stationary_stream()
         store = ModelStore(tmp_path / "models")
         run_stream(stream, 1, [("passive", "mean")], NB, store=store, store_airport="SBGR")
