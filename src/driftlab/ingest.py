@@ -322,6 +322,20 @@ def feature_matrix(rows) -> np.ndarray:
     return np.array(list(map(attrgetter("numeric_features"), rows)))
 
 
+# The categorical model inputs, as FlightFeatureRow attributes.
+CAT_COLUMNS = ("origin_airport", "destination_state", "week_of_year")
+
+
+def row_columns(rows) -> tuple[np.ndarray, list[list], np.ndarray]:
+    """The rows' numeric matrix (feature_matrix), categorical columns (lists
+    of the rows' own values, in CAT_COLUMNS order) and int labels, each read
+    in one C-level pass over the rows. Needs at least one row."""
+    numeric = feature_matrix(rows)
+    cats = [list(map(attrgetter(name), rows)) for name in CAT_COLUMNS]
+    labels = np.fromiter(map(attrgetter("delayed"), rows), dtype=int, count=len(rows))
+    return numeric, cats, labels
+
+
 def save_rows(rows, feature_names, path: str | Path) -> None:
     rows = list(rows)
     features = feature_matrix(rows) if rows else np.zeros((0, len(feature_names)))

@@ -2,11 +2,12 @@
 categorical Naive Bayes, a random forest of CART trees, and a single-hidden-
 layer MLP, plus confusion metrics and k-fold grid search.
 
-All three are seeded and deterministic given (spec, rows). Categorical
-features (origin airport, destination state, week number) are handled
-natively: NB keeps a smoothed unknown bucket, forest splits route unseen
-levels to the majority child, the MLP one-hot encodes with unseen levels as
-the zero vector.
+All three are seeded and deterministic given (spec, batches): train and
+predict take a window as a sequence of yearly windowing.Batch, and each
+batch reads its columns once. Categorical features (origin airport,
+destination state, week number) are handled natively: NB keeps a smoothed
+unknown bucket, forest splits route unseen levels to the majority child,
+the MLP one-hot encodes with unseen levels as the zero vector.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import Normalizer, apply_normalizer, feature_matrix, fit_normalizer
+from .ingest import CAT_COLUMNS, Normalizer, apply_normalizer, fit_normalizer
 from .special import sigmoid
+from .windowing import Batch
 
 log = logging.getLogger(__name__)
 
@@ -155,33 +156,37 @@ def compute_metrics(c: ConfusionCounts) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
-# Feature extraction / encoding
+# A window's arrays, from its batches' cached columns
 # ---------------------------------------------------------------------------
 
-CAT_COLUMNS = ("origin_airport", "destination_state", "week_of_year")
+def _vocabs(batches) -> tuple[dict, ...]:
+    """Per categorical column, the union of the batches' levels, sorted by
+    str, mapped to codes 0, 1, ...; a level keeps the type it has in the
+    first batch that has it."""
+    return tuple({level: code for code, level in enumerate(
+                      sorted(set(chain.from_iterable(b.columns.levels[j] for b in batches)),
+                             key=str))}
+                 for j in range(len(CAT_COLUMNS)))
 
 
-def _extract(rows) -> tuple[np.ndarray, list[list], np.ndarray]:
-    """The rows' numeric matrix, categorical columns (lists, in CAT_COLUMNS
-    order) and int labels, each read in one C-level pass over the rows."""
-    numeric = feature_matrix(rows)
-    cats = [list(map(attrgetter(name), rows)) for name in CAT_COLUMNS]
-    y = np.fromiter(map(attrgetter("delayed"), rows), dtype=int, count=len(rows))
-    return numeric, cats, y
-
-
-def _build_vocabs(cats) -> tuple[dict, ...]:
-    return tuple({value: code for code, value in enumerate(sorted(set(col), key=str))}
-                 for col in cats)
-
-
-def _encode(cats, vocabs) -> np.ndarray:
-    n = len(cats[0])
-    codes = np.zeros((n, len(vocabs)), dtype=int)
-    for j, (col, vocab) in enumerate(zip(cats, vocabs)):
-        # a level missing from the vocabulary gets code len(vocab)
-        codes[:, j] = np.fromiter(map(vocab.get, col, repeat(len(vocab))), dtype=int, count=n)
-    return codes
+def _arrays(batches, vocabs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw numeric matrix, level codes and int labels of the batches'
+    rows, in order: their cached columns, concatenated. A batch's codes are
+    its level codes mapped through a lookup of its levels in vocabs, where a
+    level missing from a vocabulary gets that vocabulary's size."""
+    columns = [b.columns for b in batches]
+    codes = np.empty((sum(c.labels.size for c in columns), len(vocabs)), dtype=int)
+    start = 0
+    for c in columns:
+        stop = start + c.labels.size
+        for j, vocab in enumerate(vocabs):
+            levels = c.levels[j]
+            lookup = np.fromiter(map(vocab.get, levels, repeat(len(vocab))), dtype=int,
+                                 count=len(levels))
+            codes[start:stop, j] = lookup[c.codes[j]]
+        start = stop
+    return (np.concatenate([c.numeric for c in columns]), codes,
+            np.concatenate([c.labels for c in columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -608,19 +613,19 @@ def _classifier(spec: ModelSpec):
     return cls(seed=spec.seed, **spec.hyperparameters)
 
 
-def train(spec: ModelSpec, rows) -> TrainedModel:
-    """Fit the spec'd classifier on the rows: refit the min-max normalizer
-    on this window, encode categories from this window's vocabularies, then
-    fit. Single-class windows are allowed but flagged (NB/RF degenerate to a
-    constant predictor)."""
-    rows = list(rows)
-    if not rows:
+def train(spec: ModelSpec, batches) -> TrainedModel:
+    """Fit the spec'd classifier on the rows of the batches (a sequence of
+    windowing.Batch): refit the min-max normalizer on this window, encode
+    categories from this window's vocabularies, then fit. Single-class
+    windows are allowed but flagged (NB/RF degenerate to a constant
+    predictor)."""
+    batches = [b for b in batches if not b.is_empty]
+    if not batches:
         raise ValueError("train requires a non-empty training window")
-    raw, cats, y = _extract(rows)
+    vocabs = _vocabs(batches)
+    raw, codes, y = _arrays(batches, vocabs)
     normalizer = fit_normalizer(raw)
     numeric = apply_normalizer(normalizer, raw)
-    vocabs = _build_vocabs(cats)
-    codes = _encode(cats, vocabs)
     vocab_sizes = [len(v) for v in vocabs]
 
     if np.unique(y).size < 2:
@@ -637,14 +642,14 @@ def train(spec: ModelSpec, rows) -> TrainedModel:
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer, vocabs=vocabs)
 
 
-def predict(model: TrainedModel, rows) -> np.ndarray:
-    """One {0,1} label per row; deterministic; empty input gives empty output."""
-    rows = list(rows)
-    if not rows:
+def predict(model: TrainedModel, batches) -> np.ndarray:
+    """One {0,1} label per row of the batches (a sequence of
+    windowing.Batch), in order; deterministic; no rows give empty output."""
+    batches = [b for b in batches if not b.is_empty]
+    if not batches:
         return np.zeros(0, dtype=int)
-    raw, cats, _ = _extract(rows)
+    raw, codes, _ = _arrays(batches, model.vocabs)
     numeric = apply_normalizer(model.normalizer, raw)
-    codes = _encode(cats, model.vocabs)
     if model.spec.kind == KIND_MLP:
         X = np.hstack([numeric, one_hot(codes, model.vocab_sizes)])
         return model.classifier.predict(X)
@@ -679,34 +684,36 @@ def _size_key(kind: str, hp: dict) -> tuple:
     return (hp["hidden_neurons"], hp["learning_rate"], hp["epochs"])
 
 
-def grid_search_cv(kind: str, grid: list[dict], rows, k: int, seed: int = 0) -> ModelSpec:
-    """Pick the grid point with the best mean k-fold CV accuracy; ties break
-    toward the smaller model (fewer neurons / fewer predictors / smaller
-    smoothing). The normalizer is refit inside every fold."""
+def grid_search_cv(kind: str, grid: list[dict], batch: Batch, k: int,
+                   seed: int = 0) -> ModelSpec:
+    """Pick the grid point with the best mean k-fold CV accuracy over the
+    batch's rows; ties break toward the smaller model (fewer neurons / fewer
+    predictors / smaller smoothing). Each fold's training and validation
+    rows are one batch each, made once for the whole search, so every grid
+    point reads the same columns; the normalizer is refit inside every fold."""
     kind = canonical_kind(kind)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     if k < 2:
         raise ValueError("cross-validation needs k >= 2 folds")
-    rows = list(rows)
+    rows = batch.rows
     if len(rows) < k:
         raise ValueError(f"{len(rows)} rows cannot fill {k} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(rows))
     folds = np.array_split(order, k)
+    splits = [(Batch(batch.year, tuple(rows[i] for g in range(k) if g != f for i in folds[g])),
+               Batch(batch.year, tuple(rows[i] for i in folds[f])))
+              for f in range(k)]
 
     best_hp = None
     best_acc = -1.0
     for hp in sorted(grid, key=lambda h: _size_key(kind, h)):
         accs = []
-        for f in range(k):
-            val_idx = folds[f]
-            train_idx = np.concatenate([folds[g] for g in range(k) if g != f])
-            model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=seed),
-                          [rows[i] for i in train_idx])
-            preds = predict(model, [rows[i] for i in val_idx])
-            truth = np.array([rows[i].delayed for i in val_idx])
-            accs.append(float(np.mean(preds == truth)))
+        for fit, val in splits:
+            model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=seed), (fit,))
+            preds = predict(model, (val,))
+            accs.append(float(np.mean(preds == val.columns.labels)))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_acc = mean_acc
@@ -754,8 +761,9 @@ def model_bytes(model: TrainedModel) -> bytes:
     return buffer.getvalue()
 
 
-def _model_from_archive(header: dict, archive) -> TrainedModel:
-    """The model that model_bytes wrote as this header and archive."""
+def _model_from_archive(header: dict, member) -> TrainedModel:
+    """The model that model_bytes wrote as this header and these members;
+    member(name) returns one member's array."""
     spec = ModelSpec(**header["spec"])
     clf = _classifier(spec)
     if spec.kind == KIND_RF:
@@ -763,16 +771,16 @@ def _model_from_archive(header: dict, archive) -> TrainedModel:
             tree = DecisionTree(clf.mtry, None, clf.max_depth)
             tree.width = width
             for name in _TREE_ARRAYS:
-                setattr(tree, name, archive[f"tree.{i}.{name}"])
+                setattr(tree, name, member(f"tree.{i}.{name}"))
             clf.trees.append(tree)
     else:
         for name in _FITTED_ARRAYS[spec.kind]:
-            setattr(clf, name, archive[name])
-    vocabs = tuple({value: code for code, value in enumerate(archive[f"vocab.{j}"].tolist())}
+            setattr(clf, name, member(name))
+    vocabs = tuple({value: code for code, value in enumerate(member(f"vocab.{j}").tolist())}
                    for j in range(len(CAT_COLUMNS)))
     if spec.kind == KIND_NB:
-        clf.cat_log_probs = [archive[f"cat_log_probs.{j}"] for j in range(len(vocabs))]
-    normalizer = Normalizer(**{name: archive[f"normalizer.{name}"]
+        clf.cat_log_probs = [member(f"cat_log_probs.{j}") for j in range(len(vocabs))]
+    normalizer = Normalizer(**{name: member(f"normalizer.{name}")
                                for name in ("mins", "maxs", "means")})
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer, vocabs=vocabs)
 
@@ -794,9 +802,9 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """The model save_model wrote to path. Loading never unpickles, and a
-    file of another format or version (formats 1 and 2 were JSON) raises
-    ValueError naming the file."""
+    """The model save_model wrote to path. Loading never unpickles. A file
+    of another format or version (formats 1 and 2 were JSON), or one whose
+    member is missing or an object array, raises ValueError naming the file."""
     path = Path(path)
     try:
         archive = np.load(path, allow_pickle=False)
@@ -804,9 +812,17 @@ def load_model(path: str | Path) -> TrainedModel:
         archive = None
     if isinstance(archive, np.lib.npyio.NpzFile):
         with archive:
-            header = json.loads(archive["header"].item()) if "header" in archive.files else {}
+            def member(name: str) -> np.ndarray:
+                if name not in archive.files:
+                    raise ValueError(f"{path} lacks the {MODEL_FORMAT} member {name}")
+                try:
+                    return archive[name]
+                except ValueError as exc:  # an object array, which would unpickle
+                    raise ValueError(f"{path} member {name}: {exc}") from None
+
+            header = json.loads(member("header").item()) if "header" in archive.files else {}
             if (header.get("format"), header.get("version")) == (MODEL_FORMAT,
                                                                  MODEL_FORMAT_VERSION):
-                return _model_from_archive(header, archive)
+                return _model_from_archive(header, member)
     raise ValueError(f"{path} is not a {MODEL_FORMAT} file of format version "
                      f"{MODEL_FORMAT_VERSION}")

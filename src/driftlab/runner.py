@@ -25,7 +25,7 @@ from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, STRATEGI
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, recorded_step_years, run_stream
-from .windowing import partition_by_year
+from .windowing import partition_by_year, split_by_origin
 
 log = logging.getLogger(__name__)
 
@@ -262,11 +262,14 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     a bug) propagates once the rows already written are flushed, and a
     restart reruns the unit it stopped.
 
-    Each scale's stream gets one drift.DetectionMemo, passed to every
-    run_stream call on it: each (b, detector, t) decision, and the weekly
-    proportions, normality verdicts and tests behind it, are computed once
-    for all the classifiers and replicates of the scale. The memos live
-    only as long as this call.
+    The scales are scoped in one pass: SB's batches are one
+    partition_by_year of the rows, and each airport's batches split SB's by
+    origin. They live as long as this call, so each batch reads its model
+    columns once (Batch.columns) for every window, model and grid search
+    that uses it. Each scale's stream also gets one drift.DetectionMemo,
+    passed to every run_stream call on it: each (b, detector, t) decision,
+    and the weekly proportions, normality verdicts and tests behind it, are
+    computed once for all the classifiers and replicates of the scale.
 
     hyperparameters maps kind (or an alias such as NN) -> hyperparameter
     dict; a kind that is unknown or given twice, a dict that ModelSpec
@@ -319,16 +322,13 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     first_year, last_year = grid.years
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
 
-    streams: dict[str | None, list] = {}
-    memos: dict[str | None, DetectionMemo] = {}
+    streams: dict[str | None, list] = {None: partition_by_year(rows, batch_span)}
+    streams.update(split_by_origin(streams[None], [a for a in grid.airports if a is not None]))
+    memos = {airport: DetectionMemo() for airport in streams}
     specs: dict = {}  # (airport, kind) -> searched hyperparameters, or the search error
     try:
         for (airport, kind, b), group in itertools.groupby(
                 grid_cells(grid), key=lambda c: (c.airport, c.classifier, c.b)):
-            if airport not in streams:
-                scoped = [r for r in rows if airport is None or r.origin_airport == airport]
-                streams[airport] = partition_by_year(scoped, batch_span)
-                memos[airport] = DetectionMemo()
             stream = streams[airport]
             pending = [cell for cell in group
                        if not _cell_done(cell, stream, grid.years, existing_keys)]
@@ -406,10 +406,9 @@ def _cell_hyperparameters(cell: Cell, stream, hyperparameters, specs_cache,
         first_nonempty = next((b for b in stream if not b.is_empty), None)
         if first_nonempty is None:
             raise ValueError("no non-empty batch available for hyperparameter search")
-        rows = list(first_nonempty.rows)
-        grid = learn.default_grid(cell.classifier, learn.feature_count(rows))
-        return learn.grid_search_cv(cell.classifier, grid, rows,
-                                    k=min(cv_folds, max(2, len(rows))),
+        grid = learn.default_grid(cell.classifier, learn.feature_count(first_nonempty.rows))
+        return learn.grid_search_cv(cell.classifier, grid, first_nonempty,
+                                    k=min(cv_folds, max(2, len(first_nonempty))),
                                     seed=base_seed).hyperparameters
     return once(specs_cache, (cell.airport, cell.classifier), search)
 

@@ -55,8 +55,8 @@ class StreamRun:
 
 
 def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]:
-    preds = learn.predict(model, batch.rows)
-    confusion = learn.confusion_from_predictions([row.delayed for row in batch.rows], preds)
+    preds = learn.predict(model, (batch,))
+    confusion = learn.confusion_from_predictions(batch.columns.labels, preds)
     return confusion, learn.compute_metrics(confusion)
 
 
@@ -132,7 +132,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                                              min_week_flights=min_week_flights, memo=memo))
                 if train_flag:
                     run.current_model = once(shared, "model",
-                                             lambda: learn.train(spec, d_i.rows))
+                                             lambda: learn.train(spec, d_i.batches))
                     run.trainings_done += 1
                     if store is not None:
                         name = once(shared, "object", lambda: store.put(run.current_model))

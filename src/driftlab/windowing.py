@@ -6,9 +6,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
+
+from . import ingest
 
 log = logging.getLogger(__name__)
 
@@ -18,6 +19,17 @@ _WEEK_SPAN = 1 << 32
 
 class WindowUnderflowError(ValueError):
     """Requested a batch sequence extending before the start of the stream."""
+
+
+@dataclass(frozen=True)
+class BatchColumns:
+    """A batch's model inputs: the raw numeric matrix, the int labels and,
+    per categorical column (ingest.CAT_COLUMNS), the batch's levels sorted
+    by str with each row's index into them."""
+    numeric: np.ndarray
+    labels: np.ndarray
+    levels: tuple[list, ...]
+    codes: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +59,19 @@ class Batch:
         cells = np.stack(np.divmod(keys, _WEEK_SPAN), axis=1)
         return cells, np.bincount(inverse), np.bincount(inverse[delayed], minlength=len(cells))
 
+    @cached_property
+    def columns(self) -> BatchColumns:
+        """The rows' columns, read once per batch (ingest.row_columns) and
+        shared by every model that trains on or predicts the batch. A level
+        keeps the type of the first row that has it. Needs a non-empty batch."""
+        numeric, cats, labels = ingest.row_columns(self.rows)
+        levels = tuple(sorted(set(col), key=str) for col in cats)
+        codes = tuple(
+            np.fromiter(map({level: i for i, level in enumerate(col_levels)}.__getitem__, col),
+                        dtype=np.intp, count=len(col))
+            for col, col_levels in zip(cats, levels))
+        return BatchColumns(numeric=numeric, labels=labels, levels=levels, codes=codes)
+
 
 @dataclass(frozen=True)
 class BatchSequence:
@@ -64,10 +89,6 @@ class BatchSequence:
     def end_year(self) -> int:
         return self.batches[-1].year
 
-    @property
-    def rows(self) -> list:
-        return list(chain.from_iterable(b.rows for b in self.batches))
-
 
 def partition_by_year(rows, year_range: tuple[int, int]) -> list[Batch]:
     """One batch per year in [first, last], ascending; empty years are kept
@@ -80,10 +101,32 @@ def partition_by_year(rows, year_range: tuple[int, int]) -> list[Batch]:
         if first <= row.year <= last:
             buckets[row.year].append(row)
     batches = [Batch(year=year, rows=tuple(buckets[year])) for year in range(first, last + 1)]
+    _log_empty("partition_by_year", batches)
+    return batches
+
+
+def split_by_origin(stream: list[Batch], origins) -> dict[str, list[Batch]]:
+    """Each origin's stream: per batch of stream, a batch of its rows from
+    that origin, in stream order. One pass over the stream's rows; empty
+    years are kept and logged, as in partition_by_year."""
+    groups = []
+    for batch in stream:
+        by_origin: dict[str, list] = {}
+        for row in batch.rows:
+            by_origin.setdefault(row.origin_airport, []).append(row)
+        groups.append(by_origin)
+    scoped = {}
+    for origin in origins:
+        scoped[origin] = [Batch(year=batch.year, rows=tuple(by_origin.get(origin, ())))
+                          for batch, by_origin in zip(stream, groups)]
+        _log_empty(origin, scoped[origin])
+    return scoped
+
+
+def _log_empty(scope: str, batches: list[Batch]) -> None:
     empty = [b.year for b in batches if b.is_empty]
     if empty:
-        log.warning("partition_by_year: empty batches for years %s", empty)
-    return batches
+        log.warning("%s: empty batches for years %s", scope, empty)
 
 
 def batch_sequence(stream: list[Batch], end_year: int, b: int) -> BatchSequence:

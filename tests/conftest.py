@@ -1,4 +1,6 @@
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from driftlab.ingest import FlightFeatureRow
+from driftlab.windowing import Batch
 
 
 def make_row(year=2003, week=1, delayed=0, origin="SBGR", state="SP",
@@ -15,6 +18,13 @@ def make_row(year=2003, week=1, delayed=0, origin="SBGR", state="SP",
                             week_of_year=week, year=year,
                             numeric_features=np.array(features, dtype=float),
                             delayed=delayed)
+
+
+def as_batches(rows) -> list[Batch]:
+    """The rows as batches of consecutive same-year rows, the input of
+    learn.train and learn.predict: concatenated, their rows are the rows in
+    order."""
+    return [Batch(year, tuple(group)) for year, group in groupby(rows, key=attrgetter("year"))]
 
 
 def weekly_rows(year, weeks=52, per_week=100, delayed_per_week=20, origin="SBGR"):

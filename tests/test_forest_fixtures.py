@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_batches
 from driftlab import synth
 from driftlab.learn import ModelSpec, load_model, model_bytes, predict, save_model, train
 
@@ -63,13 +64,16 @@ def probe_rows(rows):
                                    origin_airport="XXXX") for r in head])
 
 
+def probe_predictions(model, rows) -> str:
+    return "".join(map(str, predict(model, as_batches(probe_rows(rows)))))
+
+
 def record() -> None:
     rows = training_rows()
-    probes = probe_rows(rows)
     out = {}
     for name, (hp, seed) in FORESTS.items():
-        model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), rows)
-        out[name] = {"predictions": "".join(map(str, predict(model, probes))),
+        model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), as_batches(rows))
+        out[name] = {"predictions": probe_predictions(model, rows),
                      "model_sha256": hashlib.sha256(model_bytes(model)).hexdigest()}
         if name == MODEL_FILE_FOREST:
             save_model(model, MODEL_FILE)
@@ -85,22 +89,22 @@ def rows():
 def test_forest_predictions_and_model_json(rows, name):
     expected = json.loads(FIXTURES.read_text())[name]
     hp, seed = FORESTS[name]
-    model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), rows)
-    assert "".join(map(str, predict(model, probe_rows(rows)))) == expected["predictions"]
+    model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), as_batches(rows))
+    assert probe_predictions(model, rows) == expected["predictions"]
     assert hashlib.sha256(model_bytes(model)).hexdigest() == expected["model_sha256"]
 
 
 def test_recorded_model_file_predicts_and_round_trips(rows):
     expected = json.loads(FIXTURES.read_text())[MODEL_FILE_FOREST]
     model = load_model(MODEL_FILE)
-    assert "".join(map(str, predict(model, probe_rows(rows)))) == expected["predictions"]
+    assert probe_predictions(model, rows) == expected["predictions"]
     assert model_bytes(model) == MODEL_FILE.read_bytes()
 
 
 @pytest.mark.parametrize("name", FORESTS)
 def test_loaded_trees_equal_the_fitted_arrays(rows, tmp_path, name):
     hp, seed = FORESTS[name]
-    model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), rows)
+    model = train(ModelSpec(kind="RF", hyperparameters=hp, seed=seed), as_batches(rows))
     save_model(model, tmp_path / "rf.npz")
     loaded = load_model(tmp_path / "rf.npz")
     assert len(loaded.classifier.trees) == len(model.classifier.trees)

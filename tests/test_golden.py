@@ -21,6 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from conftest import as_batches
 from driftlab import learn, synth
 from driftlab.learn import load_model, predict
 from driftlab.runner import ExperimentGrid, drift_analysis
@@ -103,10 +104,10 @@ def stored_models(store: Path):
 def store_predictions(store: Path) -> dict:
     """Each stored model's predictions on the stream's last two years, by key
     directory name and t."""
-    rows = [r for r in b3_rows() if r.year >= 2006]
+    batches = as_batches([r for r in b3_rows() if r.year >= 2006])
     out: dict = {}
     for key, t, path in stored_models(store):
-        out.setdefault(key, {})[str(t)] = "".join(map(str, predict(load_model(path), rows)))
+        out.setdefault(key, {})[str(t)] = "".join(map(str, predict(load_model(path), batches)))
     return out
 
 

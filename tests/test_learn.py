@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -7,12 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_row
+from conftest import as_batches, make_row
+from driftlab import ingest
 from driftlab.ingest import apply_normalizer, fit_normalizer
 from driftlab.learn import (MLP, ConfusionCounts, DecisionTree, ModelSpec,
                             canonical_kind, compute_metrics, confusion_from_predictions,
                             default_grid, grid_search_cv, load_model, model_bytes, one_hot,
-                            predict, save_model, train, _build_vocabs, _encode, _extract)
+                            predict, save_model, train, _arrays, _vocabs)
+from driftlab.windowing import Batch
 
 
 def labels(rows):
@@ -81,7 +84,8 @@ class TestKinds:
 
 
 def reference_extract(rows):
-    """_extract written row by row, the definition its result must match."""
+    """The window's columns written row by row, the definition that
+    learn._arrays must match."""
     numeric = np.vstack([r.numeric_features for r in rows])
     cats = [[r.origin_airport for r in rows],
             [r.destination_state for r in rows],
@@ -90,9 +94,15 @@ def reference_extract(rows):
     return numeric, cats, y
 
 
+def reference_vocabs(cats):
+    """Each column's levels sorted by str, to codes 0, 1, ...: the
+    vocabularies train builds."""
+    return tuple({v: code for code, v in enumerate(sorted(set(col), key=str))} for col in cats)
+
+
 def reference_encode(cats, vocabs):
-    """_encode written row by row: a level missing from its vocabulary gets
-    the vocabulary's size."""
+    """Level codes written row by row: a level missing from its vocabulary
+    gets the vocabulary's size."""
     return np.array([[vocab.get(v, len(vocab)) for vocab, v in zip(vocabs, values)]
                      for values in zip(*cats)], dtype=int)
 
@@ -103,83 +113,141 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def seeded_rows(seed, n=300, n_features=4, dtype=float, delayed=int):
-    """Rows with NaN features, int week codes and the given delayed type."""
+def assert_same_vocabs(got, want):
+    """Equal vocabularies whose keys have the same Python types, in code
+    order: the model file stores each vocabulary's dtype."""
+    assert got == want
+    assert [[type(k) for k in vocab] for vocab in got] == \
+           [[type(k) for k in vocab] for vocab in want]
+
+
+ORIGINS = ("SBGR", "SBSP", "SBKP", "SBRJ", "SBBR", "SBCT")
+STATES = ("SP", "RJ", "MG", "DF", "BA", "PR", "RS")
+
+
+def seeded_rows(seed, n=300, n_features=4, delayed=int, year=2003, origins=ORIGINS[:4],
+                states=STATES[:5], weeks=(1, 54), week=int):
+    """Rows with NaN features, week levels of the given type and the given
+    delayed type."""
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, n_features))
     features[rng.random((n, n_features)) < 0.1] = np.nan
-    origins = rng.choice(["SBGR", "SBSP", "SBKP", "SBRJ"], size=n)
-    states = rng.choice(["SP", "RJ", "MG", "DF", "BA"], size=n)
-    weeks = rng.integers(1, 54, size=n)
+    origin_of = rng.choice(list(origins), size=n)
+    state_of = rng.choice(list(states), size=n)
+    week_of = rng.integers(*weeks, size=n)
     labels_ = rng.integers(0, 2, size=n)
-    return [make_row(year=2003, week=int(weeks[i]), delayed=delayed(labels_[i]),
-                     origin=str(origins[i]), state=str(states[i]),
+    return [make_row(year=year, week=week(week_of[i]), delayed=delayed(labels_[i]),
+                     origin=str(origin_of[i]), state=str(state_of[i]),
                      features=features[i]) for i in range(n)]
 
 
+def seeded_window(seed, n_batches, delayed=int, week=int):
+    """n_batches consecutive yearly batches of unequal sizes whose origin,
+    state and week level sets differ."""
+    return [Batch(2003 + i, tuple(seeded_rows(seed + i, n=120 + 40 * i, delayed=delayed,
+                                              year=2003 + i, origins=ORIGINS[i:i + 4],
+                                              states=STATES[2 * i:2 * i + 3],
+                                              weeks=(1 + 10 * i, 30 + 10 * i), week=week)))
+            for i in range(n_batches)]
+
+
 class TestConversion:
-    """_extract and _encode equal a plain per-row reference in dtype, shape
-    and bytes."""
+    """A window's vocabularies and arrays, built from its batches' cached
+    columns, equal a plain per-row reference in key types, dtype, shape and
+    bytes."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("delayed", [int, bool, np.int64, np.int8],
                              ids=["int", "bool", "np.int64", "np.int8"])
     def test_extract_and_encode_match_reference(self, seed, delayed):
-        rows = seeded_rows(seed, delayed=delayed)
-        numeric, cats, y = _extract(rows)
+        """Windows of 1, 2 and 3 batches."""
+        batches = seeded_window(seed, seed + 1, delayed=delayed)
+        if len(batches) > 1:
+            level_sets = [set(b.columns.levels[1]) for b in batches]
+            assert level_sets[0] != level_sets[1]
+        rows = [r for b in batches for r in b.rows]
         ref_numeric, ref_cats, ref_y = reference_extract(rows)
+        vocabs = _vocabs(batches)
+        assert_same_vocabs(vocabs, reference_vocabs(ref_cats))
+        numeric, codes, y = _arrays(batches, vocabs)
         assert np.isnan(numeric).any()
         assert_same_array(numeric, ref_numeric)
+        assert_same_array(codes, reference_encode(ref_cats, vocabs))
         assert_same_array(y, ref_y)
-        assert cats == ref_cats
-        assert [type(v) for col in cats for v in col] == \
-               [type(v) for col in ref_cats for v in col]
-        vocabs = _build_vocabs(cats)
-        assert_same_array(_encode(cats, vocabs), reference_encode(ref_cats, vocabs))
+
+    @pytest.mark.parametrize("week", [int, np.int64, "mixed"])
+    def test_vocabulary_keys_keep_their_types(self, week):
+        """A level keeps the type of the first row that has it, as set()
+        over the window's rows keeps it."""
+        if week == "mixed":  # every third row's week is an int, the others np.int64
+            types = itertools.cycle((int, np.int64, np.int64))
+
+            def week(w):
+                return next(types)(w)
+        batches = seeded_window(7, 3, week=week)
+        rows = [r for b in batches for r in b.rows]
+        assert_same_vocabs(_vocabs(batches), reference_vocabs(reference_extract(rows)[1]))
 
     def test_feature_dtype_kept(self):
-        rows = [make_row(features=(1, 2)), make_row(features=(3, 4))]
-        for r in rows:
-            r.numeric_features = r.numeric_features.astype(np.float32)
-        numeric, _, _ = _extract(rows)
+        batches = seeded_window(3, 2)
+        for b in batches:
+            for r in b.rows:
+                r.numeric_features = r.numeric_features.astype(np.float32)
+        rows = [r for b in batches for r in b.rows]
+        numeric, _, _ = _arrays(batches, _vocabs(batches))
+        assert numeric.dtype == np.float32 and np.isnan(numeric).any()
         assert_same_array(numeric, reference_extract(rows)[0])
 
     def test_unknown_levels_get_vocabulary_size(self):
-        train_rows = seeded_rows(5, n=50)
-        vocabs = _build_vocabs(_extract(train_rows)[1])
-        rows = seeded_rows(6, n=40) + [
-            make_row(origin="SBBR", state="RS", week=60, features=(0.0,) * 4),
-            make_row(origin="SBGR", state="PR", week=1, features=(0.0,) * 4),
-        ]
-        _, cats, _ = _extract(rows)
-        codes = _encode(cats, vocabs)
+        vocabs = _vocabs(seeded_window(5, 2))
+        batches = seeded_window(11, 3)
+        batches[-1] = Batch(batches[-1].year, batches[-1].rows + (
+            make_row(year=2005, origin="SBPA", state="RR", week=60, features=(0.0,) * 4),
+            make_row(year=2005, origin="SBGR", state="AP", week=1, features=(0.0,) * 4)))
+        rows = [r for b in batches for r in b.rows]
+        _, codes, _ = _arrays(batches, vocabs)
         assert_same_array(codes, reference_encode(reference_extract(rows)[1], vocabs))
         assert codes[-2].tolist() == [len(v) for v in vocabs]
-        assert codes[-1, 1] == len(vocabs[1])
+        assert codes[-1].tolist() == [vocabs[0]["SBGR"], len(vocabs[1]), vocabs[2][1]]
 
     def test_ragged_features_refused(self):
         rows = [make_row(features=(0.1, 0.2)), make_row(features=(0.1, 0.2, 0.3))]
         with pytest.raises(ValueError):
-            _extract(rows)
+            _arrays(as_batches(rows), ())
+
+    def test_each_batch_reads_its_rows_once(self, monkeypatch):
+        batches = seeded_window(2, 3)
+        reads = []
+        real = ingest.row_columns
+
+        def counting(rows):
+            reads.append(rows)
+            return real(rows)
+        monkeypatch.setattr(ingest, "row_columns", counting)
+        spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5})
+        model = train(spec, batches)
+        for _ in range(2):
+            predict(model, batches[1:])
+            train(spec, batches[:2])
+        assert [len(r) for r in reads] == [len(b) for b in batches]
 
 
 class TestNaiveBayes:
     def test_separable_toy_accuracy(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
-        model = train(spec, toy_separable_rows)
-        preds = predict(model, toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
+        preds = predict(model, as_batches(toy_separable_rows))
         assert np.mean(preds == labels(toy_separable_rows)) >= 0.95
 
     def test_posterior_matches_brute_force(self, toy_separable_rows):
         """Independent oracle: literal Gaussian/categorical posterior products
         computed from scratch on the normalized arrays."""
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.7}, seed=0)
-        model = train(spec, toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
         clf = model.classifier
 
-        raw, cats, y = _extract(toy_separable_rows)
+        raw, codes, y = _arrays(as_batches(toy_separable_rows), model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)
-        codes = _encode(cats, model.vocabs)
 
         for i in range(6):
             brute = []
@@ -201,10 +269,9 @@ class TestNaiveBayes:
 
     def test_rescaling_invariance_of_argmax(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
-        model = train(spec, toy_separable_rows)
-        raw, cats, _ = _extract(toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
+        raw, codes, _ = _arrays(as_batches(toy_separable_rows), model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)
-        codes = _encode(cats, model.vocabs)
         jll = model.classifier.joint_log_likelihood(numeric, codes)
         # rescaling every likelihood by a positive constant shifts all
         # log-joints equally and cannot change the argmax
@@ -212,16 +279,17 @@ class TestNaiveBayes:
 
     def test_unseen_category_uses_unknown_bucket(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
-        model = train(spec, toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
         unseen = [make_row(delayed=1, state="NEVER_SEEN", features=(0.9, 0.5))]
-        assert predict(model, unseen).shape == (1,)
+        assert predict(model, as_batches(unseen)).shape == (1,)
 
     def test_single_class_constant_predictor(self, caplog):
         rows = [make_row(delayed=1, week=w, features=(w / 10, 0.5)) for w in range(1, 9)]
         with caplog.at_level("WARNING"):
-            model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}), rows)
+            model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}),
+                          as_batches(rows))
         assert "single-class training window" in caplog.text
-        preds = predict(model, rows)
+        preds = predict(model, as_batches(rows))
         assert np.all(preds == 1)
 
 
@@ -229,37 +297,38 @@ class TestRandomForest:
     def test_degenerate_ensemble_equals_single_tree(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=4,
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
-        model = train(spec, toy_separable_rows)
-        raw, cats, y = _extract(toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
+        window = as_batches(toy_separable_rows)
+        raw, codes, y = _arrays(window, _vocabs(window))
         numeric = apply_normalizer(fit_normalizer(raw), raw)
-        vocabs = _build_vocabs(cats)
-        codes = _encode(cats, vocabs)
         rng = np.random.default_rng([4, 0])
         idx = rng.integers(0, y.size, size=y.size)  # tree 0's bootstrap draw
         tree = DecisionTree(5, rng).fit(numeric[idx], codes[idx], y[idx])
-        assert np.array_equal(predict(model, toy_separable_rows),
+        assert np.array_equal(predict(model, as_batches(toy_separable_rows)),
                               tree.predict(np.hstack([numeric, codes])))
 
     def test_training_determinism(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=11,
                          hyperparameters={"trees_count": 10, "predictors_per_split": 2})
-        p1 = predict(train(spec, toy_separable_rows), toy_separable_rows)
-        p2 = predict(train(spec, toy_separable_rows), toy_separable_rows)
+        window = as_batches(toy_separable_rows)
+        p1 = predict(train(spec, window), window)
+        p2 = predict(train(spec, window), window)
         assert np.array_equal(p1, p2)
 
     def test_tree_order_invariance(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=2,
                          hyperparameters={"trees_count": 9, "predictors_per_split": 2})
-        model = train(spec, toy_separable_rows)
-        before = predict(model, toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
+        before = predict(model, as_batches(toy_separable_rows))
         model.classifier.trees = model.classifier.trees[::-1]
-        assert np.array_equal(before, predict(model, toy_separable_rows))
+        assert np.array_equal(before, predict(model, as_batches(toy_separable_rows)))
 
     def test_separable_accuracy(self, toy_separable_rows):
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 15, "predictors_per_split": 2})
-        model = train(spec, toy_separable_rows)
-        assert np.mean(predict(model, toy_separable_rows) == labels(toy_separable_rows)) >= 0.95
+        model = train(spec, as_batches(toy_separable_rows))
+        preds = predict(model, as_batches(toy_separable_rows))
+        assert np.mean(preds == labels(toy_separable_rows)) >= 0.95
 
     def test_unseen_level_routes_to_majority_child(self):
         # only the destination state varies, so the root splits on it
@@ -267,7 +336,7 @@ class TestRandomForest:
                 + [make_row(delayed=0, state="BB") for _ in range(4)])
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
-        model = train(spec, rows)
+        model = train(spec, as_batches(rows))
         tree = model.classifier.trees[0]
         # the root's block of routes/seen flags; only categorical nodes own one
         block = slice(tree.route[0], tree.route[0] + tree.width)
@@ -280,7 +349,8 @@ class TestRandomForest:
         state_of = {code: state for state, code in model.vocabs[1].items()}
         majority_state = state_of[levels[majority][0]]
         minority_state = state_of[levels[minority][0]]
-        preds = predict(model, [make_row(state=s) for s in (majority_state, minority_state, "ZZZ")])
+        preds = predict(model, as_batches([make_row(state=s)
+                                           for s in (majority_state, minority_state, "ZZZ")]))
         assert preds[0] != preds[1]
         assert preds[2] == preds[0]
 
@@ -288,7 +358,7 @@ class TestRandomForest:
         spec = ModelSpec(kind="RF", seed=0,
                          hyperparameters={"trees_count": 2, "predictors_per_split": 50})
         with pytest.raises(ValueError, match="exceeds feature count"):
-            train(spec, toy_separable_rows)
+            train(spec, as_batches(toy_separable_rows))
 
 
 class TestMLP:
@@ -296,10 +366,11 @@ class TestMLP:
         spec = ModelSpec(kind="MLP", seed=3,
                          hyperparameters={"hidden_neurons": 8, "learning_rate": 0.5,
                                           "epochs": 60})
-        model = train(spec, toy_separable_rows)
-        preds = predict(model, toy_separable_rows)
+        model = train(spec, as_batches(toy_separable_rows))
+        preds = predict(model, as_batches(toy_separable_rows))
         assert np.mean(preds == labels(toy_separable_rows)) >= 0.95
-        again = predict(train(spec, toy_separable_rows), toy_separable_rows)
+        again = predict(train(spec, as_batches(toy_separable_rows)),
+                        as_batches(toy_separable_rows))
         assert np.array_equal(preds, again)
 
     def test_loss_non_increasing_with_small_lr(self, toy_separable_rows):
@@ -312,10 +383,10 @@ class TestMLP:
             spec = ModelSpec(kind="MLP", seed=5,
                              hyperparameters={"hidden_neurons": 4, "learning_rate": 0.05,
                                               "epochs": epochs, "batch_size": n})
-            model = train(spec, toy_separable_rows)
-            raw, cats, y = _extract(toy_separable_rows)
+            model = train(spec, as_batches(toy_separable_rows))
+            raw, codes, y = _arrays(as_batches(toy_separable_rows), model.vocabs)
             X = np.hstack([apply_normalizer(model.normalizer, raw),
-                           one_hot(_encode(cats, model.vocabs), model.vocab_sizes)])
+                           one_hot(codes, model.vocab_sizes)])
             history.append(model.classifier.loss(X, y.astype(float)))
         assert len(history) == 20
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -356,12 +427,15 @@ class TestMLP:
 class TestPredictContract:
     def test_empty_rows_empty_output(self, toy_separable_rows):
         model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}),
-                      toy_separable_rows)
+                      as_batches(toy_separable_rows))
         assert predict(model, []).size == 0
+        assert predict(model, [Batch(2004, ())]).size == 0
 
     def test_train_requires_rows(self):
         with pytest.raises(ValueError):
             train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}), [])
+        with pytest.raises(ValueError):
+            train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}), [Batch(2003, ())])
 
     @pytest.mark.parametrize("kind,hp", [
         ("NB", {"smoothing": 0.5}),
@@ -369,10 +443,11 @@ class TestPredictContract:
         ("MLP", {"hidden_neurons": 4, "learning_rate": 0.3, "epochs": 3}),
     ])
     def test_classifier_predicts_empty_on_zero_rows(self, toy_separable_rows, kind, hp):
-        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=1), toy_separable_rows)
-        raw, cats, _ = _extract(toy_separable_rows)
+        window = as_batches(toy_separable_rows)
+        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=1), window)
+        raw, codes, _ = _arrays(window, model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)[:0]
-        codes = _encode(cats, model.vocabs)[:0]
+        codes = codes[:0]
         if kind == "MLP":
             out = model.classifier.predict(np.hstack([numeric, one_hot(codes, model.vocab_sizes)]))
         else:
@@ -382,7 +457,8 @@ class TestPredictContract:
 
 class TestGridSearch:
     def test_grid_of_one(self, toy_separable_rows):
-        best = grid_search_cv("NB", [{"smoothing": 0.25}], toy_separable_rows, k=4)
+        best = grid_search_cv("NB", [{"smoothing": 0.25}], Batch(2003, tuple(toy_separable_rows)),
+                              k=4)
         assert best.hyperparameters == {"smoothing": 0.25}
 
     def test_capacity_needed_wins(self):
@@ -395,13 +471,13 @@ class TestGridSearch:
             rows.append(make_row(delayed=y, week=1 + i % 52, features=(a, b)))
         grid = [{"hidden_neurons": 1, "learning_rate": 3.0, "epochs": 120},
                 {"hidden_neurons": 8, "learning_rate": 3.0, "epochs": 120}]
-        best = grid_search_cv("MLP", grid, rows, k=3, seed=1)
+        best = grid_search_cv("MLP", grid, Batch(2003, tuple(rows)), k=3, seed=1)
         assert best.hyperparameters["hidden_neurons"] == 8
 
     def test_tie_breaks_toward_smaller_model(self, toy_separable_rows):
         # both settings classify the easy set perfectly -> smaller smoothing wins
         grid = [{"smoothing": 1.0}, {"smoothing": 0.1}]
-        best = grid_search_cv("NB", grid, toy_separable_rows, k=4)
+        best = grid_search_cv("NB", grid, Batch(2003, tuple(toy_separable_rows)), k=4)
         assert best.hyperparameters == {"smoothing": 0.1}
 
     def test_fold_sizes(self):
@@ -412,7 +488,7 @@ class TestGridSearch:
 
     def test_empty_grid(self, toy_separable_rows):
         with pytest.raises(ValueError):
-            grid_search_cv("NB", [], toy_separable_rows, k=3)
+            grid_search_cv("NB", [], Batch(2003, tuple(toy_separable_rows)), k=3)
 
     def test_default_grids(self):
         assert default_grid("NB", 5) == [{"smoothing": s} for s in (0.1, 0.5, 1.0)]
@@ -493,15 +569,15 @@ class TestSerialization:
         spec = ModelSpec(kind=kind, hyperparameters=hp, seed=6)
         window = [r for r in toy_separable_rows if r.delayed == 0] if single_class \
             else toy_separable_rows
-        model = train(spec, window)
+        model = train(spec, as_batches(window))
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.spec == model.spec
         # the int week codes come back as ints, the state codes as strings
         assert loaded.vocabs == model.vocabs
-        assert np.array_equal(predict(model, toy_separable_rows),
-                              predict(loaded, toy_separable_rows))
+        assert np.array_equal(predict(model, as_batches(toy_separable_rows)),
+                              predict(loaded, as_batches(toy_separable_rows)))
         with np.load(path, allow_pickle=False) as archive:
             header = json.loads(archive["header"].item())
         assert (header["format"], header["version"]) == ("driftlab-model", 3)
@@ -520,7 +596,8 @@ class TestSerialization:
                                             kind, hp):
         """The model store names an object by the sha256 of its bytes, so a
         model gives the same bytes whenever it is saved."""
-        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=6), toy_separable_rows)
+        model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=6),
+                      as_batches(toy_separable_rows))
         save_model(model, tmp_path / "first.npz")
         a_year_later = time.time() + 366 * 86400
         monkeypatch.setattr(time, "time", lambda: a_year_later)
@@ -555,7 +632,7 @@ class TestSerialization:
         monkeypatch.setattr(pickle, "load", no_unpickling)
         monkeypatch.setattr(pickle, "loads", no_unpickling)
         model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}),
-                      toy_separable_rows)
+                      as_batches(toy_separable_rows))
         pickled = tmp_path / "model.pkl"
         pickled.write_bytes(pickle.dumps(model))
         with pytest.raises(ValueError, match=re.escape(str(pickled))):
@@ -567,8 +644,22 @@ class TestSerialization:
         members["vocab.0"] = np.array(list(model.vocabs[0]), dtype=object)
         objects = tmp_path / "objects.npz"
         np.savez(objects, **members)
-        with pytest.raises(ValueError, match="allow_pickle"):
+        with pytest.raises(ValueError, match=re.escape(str(objects)) + ".*vocab.0"):
             load_model(objects)
+
+    def test_missing_member_names_the_file(self, tmp_path, toy_separable_rows):
+        """A format 3 header whose member is missing: tree 2's routes under
+        a header of three trees."""
+        model = train(ModelSpec(kind="RF", hyperparameters={"trees_count": 3,
+                                                            "predictors_per_split": 2}),
+                      as_batches(toy_separable_rows))
+        save_model(model, tmp_path / "model.npz")
+        with np.load(tmp_path / "model.npz", allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files if name != "tree.2.routes"}
+        missing = tmp_path / "missing.npz"
+        np.savez(missing, **members)
+        with pytest.raises(ValueError, match=re.escape(str(missing)) + ".*tree.2.routes"):
+            load_model(missing)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

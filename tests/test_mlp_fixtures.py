@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_batches
 from driftlab import synth
 from driftlab.learn import ModelSpec, load_model, model_bytes, predict, save_model, train
 
@@ -74,7 +75,8 @@ def probe_rows():
 @functools.cache
 def trained(name):
     hp, seed = FITS[name]
-    return train(ModelSpec(kind="MLP", hyperparameters=hp, seed=seed), window(name))
+    return train(ModelSpec(kind="MLP", hyperparameters=hp, seed=seed),
+                 as_batches(window(name)))
 
 
 def params_sha256(clf) -> str:
@@ -83,7 +85,7 @@ def params_sha256(clf) -> str:
 
 
 def predictions(model) -> str:
-    return "".join(map(str, predict(model, probe_rows())))
+    return "".join(map(str, predict(model, as_batches(probe_rows()))))
 
 
 def record() -> None:

@@ -214,7 +214,7 @@ class TestDriftAnalysis:
     def test_failing_search_runs_once_per_scale_and_classifier(self, tmp_path, monkeypatch):
         searches = []
 
-        def grid_search_cv(kind, grid, rows, k, seed):
+        def grid_search_cv(kind, grid, batch, k, seed):
             searches.append(kind)
             raise ValueError("search failed")
         monkeypatch.setattr(learn, "grid_search_cv", grid_search_cv)
@@ -445,10 +445,10 @@ class TestDriftAnalysis:
         from driftlab import learn
         real_train = learn.train
 
-        def train(spec, rows):
-            if rows[-1].year == 2003:
+        def train(spec, batches):
+            if batches[-1].year == 2003:
                 raise ValueError("no fit for 2003")
-            return real_train(spec, rows)
+            return real_train(spec, batches)
         monkeypatch.setattr(learn, "train", train)
         results = drift_analysis(rows, grid, tmp_path / "res.csv", hyperparameters=FAST_HP)
 
@@ -482,10 +482,10 @@ class TestDriftAnalysis:
         drift_analysis(rows, grid, tmp_path / "full.csv", hyperparameters=FAST_HP)
         real_train = learn.train
 
-        def train(spec, rows):
-            if (rows[0].year, rows[-1].year) == (2002, 2003):  # the b=2 window ending in 2003
+        def train(spec, batches):
+            if (batches[0].year, batches[-1].year) == (2002, 2003):  # the b=2 window ending in 2003
                 raise MemoryError("injected")
-            return real_train(spec, rows)
+            return real_train(spec, batches)
         monkeypatch.setattr(learn, "train", train)
         out = tmp_path / "res.csv"
         with pytest.raises(MemoryError, match="injected"):
@@ -540,6 +540,36 @@ class TestDriftAnalysis:
         results = drift_analysis(rows, grid, tmp_path / "res.csv",
                                  hyperparameters=None, cv_folds=3)
         assert results and not any(r["error"] for r in results)
+
+    def test_each_batch_reads_its_rows_once_per_sweep(self, tmp_path, monkeypatch):
+        """SB and two airports, NB and RF with given hyperparameters and an
+        MLP tuned by grid search at each scale: the row-column reader runs
+        at most once per non-empty batch of each scale, plus once per fold
+        batch (2k per search), however many windows, models, replicates and
+        grid points read them."""
+        from driftlab import ingest
+        reads = []
+        row_columns = ingest.row_columns
+        monkeypatch.setattr(ingest, "row_columns",
+                            lambda rows: reads.append(len(rows)) or row_columns(rows))
+        rows = []
+        for seed, airport in enumerate(("SBGR", "SBSP")):
+            stream = synth_rows(years=4, seed=seed, flights=6, weeks=12)
+            for row in stream:
+                row.origin_airport = airport
+            rows += stream
+        k = 2
+        grid = tiny_grid(airports=(None, "SBGR", "SBSP"), classifiers=("NB", "RF", "MLP"),
+                         years=(2002, 2003), bss=(1, 2), replicates=2,
+                         strategies=("baseline", "passive", "active"))
+        results = drift_analysis(rows, grid, tmp_path / "res.csv",
+                                 hyperparameters={"NB": FAST_HP["NB"], "RF": FAST_HP["RF"]},
+                                 cv_folds=k)
+        assert results and not any(r["error"] for r in results)
+        assert {r["airport"] for r in results} == {"SB", "SBGR", "SBSP"}
+        batches = {(scale, row.year) for row in rows for scale in (None, row.origin_airport)}
+        searches = 3  # the MLP's, once per scale
+        assert len(batches) <= len(reads) <= len(batches) + searches * 2 * k
 
 
 class TestExport:

