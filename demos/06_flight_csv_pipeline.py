@@ -20,15 +20,16 @@ BADLINE,SBGR,SBBR,not-a-date,2003-03-10T08:00,domestic,20.0,2.0
 raw = Path(tempfile.mkdtemp(prefix="driftlab_demo_")) / "flights.csv"
 raw.write_text(csv_text)
 
+# load_flights checks the header and returns its schema with a lazy record
+# stream; preprocess reads the file in one pass, filtering and labeling each
+# line as it goes: domestic + top airports, delay >= 15 min -> 1,
+# missing/26h departures excluded, destination mapped to its state, ISO
+# (year, week) attached. Only the kept rows are held.
 loaded = load_flights(raw)
-print(f"{len(loaded.records)} records, {loaded.malformed_count} malformed:")
+result = preprocess(loaded)
+print(f"{result.record_count} records, {loaded.malformed_count} malformed:")
 for lineno, reason in loaded.malformed:
     print(f"  line {lineno}: {reason}")
-
-# Filtering and labeling: domestic + top airports, delay >= 15 min -> 1,
-# missing/26h departures excluded, destination mapped to its state,
-# ISO (year, week) attached.
-result = preprocess(loaded.records)
 print(f"\nkept {len(result.rows)} rows; excluded: {dict(result.excluded)}")
 print("feature vector:", result.feature_names)
 for row in result.rows:

@@ -35,9 +35,9 @@ def _cmd_preprocess(args) -> int:
     airport = None if args.airport.upper() == "SB" else args.airport.upper()
     states = ingest.load_airport_states(args.states) if args.states else None
     loaded = ingest.load_flights(args.raw_csv)
-    result = ingest.preprocess(loaded.records, airport, airport_states=states)
+    result = ingest.preprocess(loaded, airport, airport_states=states)
     ingest.save_rows(result.rows, result.feature_names, args.output)
-    print(f"{len(loaded.records)} records loaded, {loaded.malformed_count} malformed lines")
+    print(f"{result.record_count} records loaded, {loaded.malformed_count} malformed lines")
     for lineno, reason in loaded.malformed[:10]:
         print(f"  line {lineno}: {reason}")
     print(f"{len(result.rows)} rows kept -> {args.output}")

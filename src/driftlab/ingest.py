@@ -1,6 +1,7 @@
 """Load raw flight+weather CSV records and turn them into model-ready
-feature rows: domestic top-airport filtering, 15-minute delay labeling,
-ISO week numbering, and deferred min-max normalization.
+feature rows in one streaming pass: domestic top-airport filtering,
+15-minute delay labeling, ISO week numbering, and deferred min-max
+normalization.
 
 Input CSV columns: flight_id, origin, destination, scheduled_departure
 (ISO-8601), actual_departure (ISO-8601 or empty), kind
@@ -14,11 +15,13 @@ import csv
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +42,14 @@ DELAY_THRESHOLD_MINUTES = 15  # a flight departing this late or later is delayed
 MAX_DELAY_HOURS = 24  # longer delays are treated as bad records and excluded
 
 
-@dataclass
-class RawFlightRecord:
-    flight_id: str
+class RawFlightRecord(NamedTuple):
+    """One well-formed raw line, as LoadResult.records yields it."""
     origin_airport: str
     destination_airport: str
-    scheduled_departure: datetime
-    actual_departure: datetime | None
     flight_kind: str
-    weather_features: dict[str, float]
+    scheduled_departure: datetime
+    delay_min: float | None  # None without an actual departure
+    weather: list[float]  # in LoadResult.wx_columns order; NaN for a blank cell
 
 
 @dataclass
@@ -64,7 +66,11 @@ class FlightFeatureRow:
 
 @dataclass
 class LoadResult:
-    records: list[RawFlightRecord]
+    """A raw CSV's header schema and its lazy, one-pass record stream:
+    iterating records reads the data lines and appends each malformed one
+    to malformed, which is complete once the stream is exhausted."""
+    wx_columns: tuple[str, ...]
+    records: Iterable[RawFlightRecord]
     malformed: list[tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -78,6 +84,11 @@ class PreprocessResult:
     feature_names: tuple[str, ...]
     excluded: Counter
 
+    @property
+    def record_count(self) -> int:
+        """Well-formed records read: each one is kept or excluded."""
+        return len(self.rows) + sum(self.excluded.values())
+
 
 def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
     """Airport code -> state mapping; the bundled table covers the ten
@@ -87,173 +98,172 @@ def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
         text = source.read_text(encoding="utf-8")
         lines = text.splitlines()
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     reader = csv.DictReader(lines)
     return {row["code"]: row["state"] for row in reader}
 
 
-def _parse_timestamp(raw: str) -> datetime:
-    return datetime.fromisoformat(raw.strip())
+def _read_header(reader, path: Path) -> list[str]:
+    """The stripped column names; refused unless each fixed column is there
+    and every column is fixed or ``wx_``-prefixed and named once."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"flight CSV {path} has no header row")
+    for col in header:
+        if col not in FIXED_COLUMNS and not col.startswith(WEATHER_PREFIX):
+            raise ValueError(f"unknown column in header: {col!r}")
+    duplicated = sorted(col for col, n in Counter(header).items() if n > 1)
+    if duplicated:
+        raise ValueError(f"duplicate columns in header: {duplicated}")
+    missing = [c for c in FIXED_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"header is missing expected columns: {missing}")
+    return header
 
 
 def load_flights(path: str | Path) -> LoadResult:
-    """Parse the raw CSV; every well-formed line yields one record, malformed
-    lines are counted with a reason instead of being silently dropped.
+    """Check the raw CSV's header now and return its schema with a lazy
+    stream of the well-formed records; malformed lines are counted with a
+    reason as the stream reaches them, instead of being silently dropped.
 
-    Fatal errors: missing file, or a header column that is neither one of
-    the fixed names nor ``wx_``-prefixed.
+    Fatal errors: missing file, no header, or a header column that is
+    duplicated, missing, or neither one of the fixed names nor
+    ``wx_``-prefixed. A UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"flight CSV not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"flight CSV {path} has no header row")
-        header = [h.strip() for h in header]
-        for col in header:
-            if col not in FIXED_COLUMNS and not col.startswith(WEATHER_PREFIX):
-                raise ValueError(f"unknown column in header: {col!r}")
-        missing = [c for c in FIXED_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"header is missing expected columns: {missing}")
-        idx = {name: header.index(name) for name in header}
-        wx_columns = sorted(c for c in header if c.startswith(WEATHER_PREFIX))
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = _read_header(csv.reader(fh), path)
+    wx_columns = tuple(sorted(c for c in header if c.startswith(WEATHER_PREFIX)))
+    malformed: list[tuple[int, str]] = []
+    return LoadResult(wx_columns, _read_records(path, header, wx_columns, malformed), malformed)
 
-        records: list[RawFlightRecord] = []
-        malformed: list[tuple[int, str]] = []
-        for lineno, fields_ in enumerate(reader, start=2):
-            if not fields_ or all(not f.strip() for f in fields_):
+
+def _read_records(path: Path, header: list[str], wx_columns: tuple[str, ...],
+                  malformed: list[tuple[int, str]]) -> Iterator[RawFlightRecord]:
+    """Validate each data line in one pass; yield it if it is well formed,
+    else append (line number, reason) to malformed."""
+    width = len(header)
+    i_origin, i_dest, i_sched, i_actual, i_kind = (header.index(c) for c in (
+        "origin", "destination", "scheduled_departure", "actual_departure", "kind"))
+    wx_index = [header.index(c) for c in wx_columns]
+    nan, parse_time = math.nan, datetime.fromisoformat
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by load_flights
+        for lineno, fields in enumerate(reader, start=2):
+            # a blank line (no field but whitespace) fails one of the first
+            # two checks; it is skipped, not counted
+            if len(fields) != width:
+                if "".join(fields).strip():
+                    malformed.append((lineno, f"expected {width} fields, got {len(fields)}"))
                 continue
-            if len(fields_) != len(header):
-                malformed.append((lineno, f"expected {len(header)} fields, got {len(fields_)}"))
-                continue
-            origin = fields_[idx["origin"]].strip()
-            destination = fields_[idx["destination"]].strip()
+            origin, destination = fields[i_origin].strip(), fields[i_dest].strip()
             if not origin or not destination:
-                malformed.append((lineno, "empty origin or destination"))
+                if "".join(fields).strip():
+                    malformed.append((lineno, "empty origin or destination"))
                 continue
-            kind = fields_[idx["kind"]].strip().lower()
+            kind = fields[i_kind].strip().lower()
             if kind not in FLIGHT_KINDS:
                 malformed.append((lineno, f"unknown flight kind {kind!r}"))
                 continue
-            sched_raw = fields_[idx["scheduled_departure"]].strip()
+            sched_raw = fields[i_sched].strip()
             if not sched_raw:
                 malformed.append((lineno, "missing scheduled_departure"))
                 continue
             try:
-                scheduled = _parse_timestamp(sched_raw)
+                scheduled = parse_time(sched_raw)
             except ValueError:
                 malformed.append((lineno, f"bad scheduled_departure {sched_raw!r}"))
                 continue
-            actual_raw = fields_[idx["actual_departure"]].strip()
-            if actual_raw:
-                try:
-                    actual = _parse_timestamp(actual_raw)
-                except ValueError:
-                    malformed.append((lineno, f"bad actual_departure {actual_raw!r}"))
-                    continue
-            else:
-                actual = None
-            weather: dict[str, float] = {}
-            bad_wx = None
-            for col in wx_columns:
-                raw = fields_[idx[col]].strip()
-                if not raw:
-                    weather[col] = math.nan
-                    continue
-                try:
-                    weather[col] = float(raw)
-                except ValueError:
-                    bad_wx = f"bad numeric value {raw!r} in {col}"
-                    break
-            if bad_wx:
-                malformed.append((lineno, bad_wx))
+            actual_raw = fields[i_actual].strip()
+            try:
+                actual = parse_time(actual_raw) if actual_raw else None
+            except ValueError:
+                malformed.append((lineno, f"bad actual_departure {actual_raw!r}"))
                 continue
-            records.append(RawFlightRecord(
-                flight_id=fields_[idx["flight_id"]].strip(),
-                origin_airport=origin,
-                destination_airport=destination,
-                scheduled_departure=scheduled,
-                actual_departure=actual,
-                flight_kind=kind,
-                weather_features=weather,
-            ))
+            try:
+                weather = [float(raw) if (raw := fields[i].strip()) else nan for i in wx_index]
+            except ValueError:
+                malformed.append((lineno, _bad_weather(fields, wx_columns, wx_index)))
+                continue
+            try:
+                delay_min = (None if actual is None else
+                             (actual - scheduled).total_seconds() / 60.0)
+            except TypeError:
+                malformed.append((lineno, "only one of scheduled_departure and "
+                                          "actual_departure has a UTC offset"))
+                continue
+            yield RawFlightRecord(origin, destination, kind, scheduled, delay_min, weather)
     if malformed:
         log.warning("load_flights: %d malformed lines in %s (first: line %d, %s)",
                     len(malformed), path, malformed[0][0], malformed[0][1])
-    return LoadResult(records=records, malformed=malformed)
 
 
-def _filter_record(record: RawFlightRecord, delay_min: float | None,
+def _bad_weather(fields: list[str], wx_columns, wx_index) -> str:
+    """The reason naming a line's first unparsable weather value."""
+    for col, i in zip(wx_columns, wx_index):
+        raw = fields[i].strip()
+        try:
+            float(raw or "nan")
+        except ValueError:
+            return f"bad numeric value {raw!r} in {col}"
+
+
+def _filter_record(kind: str, origin: str, destination: str, delay_min: float | None,
                    airport_filter: str | None, states: dict[str, str]) -> str | None:
-    """Reason to exclude the record, whose departure delay is delay_min
-    (None without an actual departure), or None if it is kept.
+    """Reason to exclude a record from these fields (delay_min is None
+    without an actual departure), or None if it is kept.
     Label-independent filtering only; idempotent on survivors."""
-    if record.flight_kind != "domestic":
+    if kind != "domestic":
         return "not_domestic"
-    if record.origin_airport not in TOP_AIRPORTS:
+    if origin not in TOP_AIRPORTS:
         return "origin_not_top_airport"
-    if airport_filter is not None and record.origin_airport != airport_filter:
+    if airport_filter is not None and origin != airport_filter:
         return "airport_filter"
     if delay_min is None:
         return "missing_actual_departure"
     if delay_min > MAX_DELAY_HOURS * 60:
         return "delay_above_max"
-    if record.destination_airport not in states:
+    if destination not in states:
         return "unknown_destination_state"
     return None
 
 
-def preprocess(records, airport_filter: str | None = None,
+def preprocess(loaded: LoadResult, airport_filter: str | None = None,
                airport_states: dict[str, str] | None = None) -> PreprocessResult:
-    """Filter raw records and build feature rows.
+    """Filter loaded's records in one pass and featurize the kept ones;
+    only the kept rows and the exclusion counts are held.
 
     Keeps domestic flights from the top airports (only airport_filter's,
     when given) with a usable departure delay (present and <=
     MAX_DELAY_HOURS); labels delayed when the delay reaches
     DELAY_THRESHOLD_MINUTES. Year and week come from the ISO calendar so a
-    (year, week) cell never straddles a year boundary.
+    (year, week) cell never straddles a year boundary. The wx_ features are
+    the header's, so a file without a well-formed record still names them.
     """
     if airport_filter is not None and airport_filter not in TOP_AIRPORTS:
         raise ValueError(f"airport_filter {airport_filter!r} is not one of TOP_AIRPORTS")
     states = airport_states if airport_states is not None else load_airport_states()
-    wx_names: list[str] = []
-    for rec in records:
-        for name in rec.weather_features:
-            if name not in wx_names:
-                wx_names.append(name)
-    wx_names.sort()
-    feature_names = SCHEDULE_FEATURES + tuple(wx_names)
-
     rows: list[FlightFeatureRow] = []
     excluded: Counter = Counter()
-    for rec in records:
-        delay_min = (None if rec.actual_departure is None else
-                     (rec.actual_departure - rec.scheduled_departure).total_seconds() / 60.0)
-        reason = _filter_record(rec, delay_min, airport_filter, states)
+    for origin, destination, kind, sched, delay_min, weather in loaded.records:
+        reason = _filter_record(kind, origin, destination, delay_min, airport_filter, states)
         if reason is not None:
             excluded[reason] += 1
             continue
-        sched = rec.scheduled_departure
-        iso = sched.isocalendar()
-        features = np.array(
-            [float(sched.hour), float(sched.weekday()), float(sched.month)]
-            + [rec.weather_features.get(name, math.nan) for name in wx_names])
-        rows.append(FlightFeatureRow(
-            origin_airport=rec.origin_airport,
-            destination_state=states[rec.destination_airport],
-            week_of_year=int(iso[1]),
-            year=int(iso[0]),
-            numeric_features=features,
-            delayed=int(delay_min >= DELAY_THRESHOLD_MINUTES),
-        ))
+        year, week, _ = sched.isocalendar()
+        features = [float(sched.hour), float(sched.weekday()), float(sched.month), *weather]
+        # in FlightFeatureRow field order
+        rows.append(FlightFeatureRow(origin, states[destination], week, year, np.array(features),
+                                     int(delay_min >= DELAY_THRESHOLD_MINUTES)))
     if excluded:
         log.info("preprocess: excluded %d records (%s)", sum(excluded.values()), dict(excluded))
-    return PreprocessResult(rows=rows, feature_names=feature_names, excluded=excluded)
+    return PreprocessResult(rows=rows, feature_names=SCHEDULE_FEATURES + loaded.wx_columns,
+                            excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

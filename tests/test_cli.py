@@ -91,6 +91,45 @@ class TestPreprocessCommand:
         assert "TOP_AIRPORTS" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_utc_offset_on_one_departure_only_is_a_malformed_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+            "F1,SBGR,SBBR,2003-03-10T08:00,2003-03-10T08:40+00:00,domestic\n"
+            "F2,SBGR,SBBR,2003-03-10T08:00-03:00,2003-03-10T11:20+00:00,domestic\n")
+        out = tmp_path / "rows.npz"
+        assert main(["preprocess", str(csv_path), "-o", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["1 records loaded, 1 malformed lines",
+                             "  line 2: only one of scheduled_departure and actual_departure "
+                             "has a UTC offset"]
+        rows, _ = ingest.load_rows(out)
+        assert [r.delayed for r in rows] == [1]
+
+    def test_duplicate_header_column_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind,"
+            "wx_temp,wx_temp\n"
+            "F1,SBGR,SBBR,2003-03-10T08:00,2003-03-10T08:40,domestic,21.0,22.0\n")
+        out = tmp_path / "rows.npz"
+        assert main(["preprocess", str(csv_path), "-o", str(out)]) == 1
+        assert "duplicate columns in header: ['wx_temp']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_utf8_byte_order_marks_are_skipped(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+            "F1,SBGR,SBFZ,2003-03-10T08:00,2003-03-10T08:40,domestic\n", encoding="utf-8-sig")
+        states = tmp_path / "states.csv"
+        states.write_text("code,state\nSBFZ,CE\n", encoding="utf-8-sig")
+        out = tmp_path / "rows.npz"
+        assert main(["preprocess", str(csv_path), "--states", str(states), "-o", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("1 records loaded, 0 malformed lines")
+        rows, _ = ingest.load_rows(out)
+        assert [r.destination_state for r in rows] == ["CE"]
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["preprocess", str(tmp_path / "nope.csv"), "-o",
                      str(tmp_path / "o.npz")]) == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from conftest import make_row
 from driftlab import ingest
-from driftlab.ingest import (apply_normalizer, fit_normalizer, load_airport_states, load_flights,
-                             load_rows, preprocess, save_rows)
+from driftlab.ingest import (LoadResult, apply_normalizer, fit_normalizer, load_airport_states,
+                             load_flights, load_rows, preprocess, save_rows)
 
 HEADER = "flight_id,origin,destination,scheduled_departure,actual_departure,kind,wx_temp,wx_wind\n"
 
@@ -22,24 +23,41 @@ def line(fid="F1", origin="SBGR", dest="SBBR", sched="2003-03-10T08:00",
     return f"{fid},{origin},{dest},{sched},{actual},{kind},{temp},{wind}\n"
 
 
+def load_all(path):
+    """load_flights(path) with its record stream read to the end."""
+    loaded = load_flights(path)
+    records = list(loaded.records)
+    return loaded, records
+
+
 class TestLoadFlights:
     def test_three_valid_lines(self, tmp_path):
         path = write_csv(tmp_path, [line(fid=f"F{i}") for i in range(3)])
-        result = load_flights(path)
-        assert len(result.records) == 3
+        result, records = load_all(path)
+        assert len(records) == 3
         assert result.malformed_count == 0
 
     def test_missing_scheduled_is_malformed(self, tmp_path):
         path = write_csv(tmp_path, [line(), line(sched=""), line()])
-        result = load_flights(path)
-        assert len(result.records) == 2
+        result, records = load_all(path)
+        assert len(records) == 2
         assert result.malformed_count == 1
         assert "scheduled_departure" in result.malformed[0][1]
 
     def test_header_only(self, tmp_path):
         path = write_csv(tmp_path, [])
+        result, records = load_all(path)
+        assert records == [] and result.malformed == []
+        assert result.wx_columns == ("wx_temp", "wx_wind")
+
+    def test_header_checked_at_once_lines_as_the_stream_reads_them(self, tmp_path):
+        path = write_csv(tmp_path, [line(sched=""), line(), line(kind="charter")])
         result = load_flights(path)
-        assert result.records == [] and result.malformed == []
+        assert result.malformed == []
+        next(iter(result.records))
+        assert [lineno for lineno, _ in result.malformed] == [2]
+        assert len(list(result.records)) == 0
+        assert [lineno for lineno, _ in result.malformed] == [2, 4]
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -56,57 +74,78 @@ class TestLoadFlights:
         with pytest.raises(ValueError, match="missing expected"):
             load_flights(path)
 
+    def test_duplicate_column_fatal(self, tmp_path):
+        path = write_csv(tmp_path, [line() + ",4.0"], header=HEADER.rstrip() + ",wx_temp\n")
+        with pytest.raises(ValueError, match="duplicate columns in header: \\['wx_temp'\\]"):
+            load_flights(path)
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "flights.csv"
+        path.write_text(HEADER + line(), encoding="utf-8-sig")
+        result, records = load_all(path)
+        assert len(records) == 1 and result.malformed == []
+
     def test_empty_actual_departure_is_wellformed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="")])
-        result = load_flights(path)
-        assert result.records[0].actual_departure is None
+        _, records = load_all(path)
+        assert records[0].delay_min is None
 
     def test_empty_weather_becomes_nan(self, tmp_path):
         path = write_csv(tmp_path, [line(temp="")])
-        rec = load_flights(path).records[0]
-        assert np.isnan(rec.weather_features["wx_temp"])
+        result, records = load_all(path)
+        assert np.isnan(records[0].weather[result.wx_columns.index("wx_temp")])
 
     def test_bad_weather_value_malformed(self, tmp_path):
         path = write_csv(tmp_path, [line(wind="breezy")])
-        result = load_flights(path)
+        result, _ = load_all(path)
         assert result.malformed_count == 1
+
+    def test_utc_offset_on_one_departure_only_malformed(self, tmp_path):
+        path = write_csv(tmp_path, [line(actual="2003-03-10T08:40+00:00"),
+                                    line(sched="2003-03-10T08:00-03:00"),
+                                    line(sched="2003-03-10T08:00-03:00",
+                                         actual="2003-03-10T11:40+00:00")])
+        result, records = load_all(path)
+        assert [lineno for lineno, _ in result.malformed] == [2, 3]
+        assert "UTC offset" in result.malformed[0][1]
+        assert [r.delay_min for r in records] == [40.0]
 
 
 class TestPreprocess:
     def test_delay_30min_labeled_delayed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-10T08:30")])
-        rows = preprocess(load_flights(path).records).rows
+        rows = preprocess(load_flights(path)).rows
         assert rows[0].delayed == 1
 
     def test_delay_14min_not_delayed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-10T08:14")])
-        rows = preprocess(load_flights(path).records).rows
+        rows = preprocess(load_flights(path)).rows
         assert rows[0].delayed == 0
 
     def test_delay_25h_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="2003-03-11T09:00")])
-        result = preprocess(load_flights(path).records)
+        result = preprocess(load_flights(path))
         assert result.rows == []
         assert result.excluded["delay_above_max"] == 1
 
     def test_international_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(kind="international")])
-        result = preprocess(load_flights(path).records)
+        result = preprocess(load_flights(path))
         assert result.excluded["not_domestic"] == 1
 
     def test_missing_actual_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="")])
-        result = preprocess(load_flights(path).records)
+        result = preprocess(load_flights(path))
         assert result.excluded["missing_actual_departure"] == 1
 
     def test_unknown_destination_excluded(self, tmp_path):
         path = write_csv(tmp_path, [line(dest="XXXX")])
-        result = preprocess(load_flights(path).records)
+        result = preprocess(load_flights(path))
         assert result.excluded["unknown_destination_state"] == 1
 
     def test_airport_filter(self, tmp_path):
         path = write_csv(tmp_path, [line(origin="SBGR"), line(origin="SBBR")])
-        result = preprocess(load_flights(path).records, airport_filter="SBBR")
+        result = preprocess(load_flights(path), airport_filter="SBBR")
         assert len(result.rows) == 1
         assert result.rows[0].origin_airport == "SBBR"
 
@@ -114,39 +153,78 @@ class TestPreprocess:
         # Dec 29 2003 falls in ISO week 1 of 2004
         path = write_csv(tmp_path, [line(sched="2003-12-29T10:00",
                                          actual="2003-12-29T10:05")])
-        row = preprocess(load_flights(path).records).rows[0]
+        row = preprocess(load_flights(path)).rows[0]
         assert (row.year, row.week_of_year) == (2004, 1)
         assert row.destination_state == "DF"
 
     def test_feature_vector_layout(self, tmp_path):
         path = write_csv(tmp_path, [line()])
-        result = preprocess(load_flights(path).records)
+        result = preprocess(load_flights(path))
         assert result.feature_names == ("sched_hour", "sched_weekday", "sched_month",
                                         "wx_temp", "wx_wind")
         # Monday 2003-03-10 08:00, March
         assert result.rows[0].numeric_features.tolist() == [8.0, 0.0, 3.0, 21.5, 3.0]
 
+    def test_no_wellformed_record_keeps_the_header_s_features(self, tmp_path):
+        path = write_csv(tmp_path, [line(kind="charter")])
+        result = preprocess(load_flights(path))
+        assert result.rows == [] and result.record_count == 0
+        assert result.feature_names == ("sched_hour", "sched_weekday", "sched_month",
+                                        "wx_temp", "wx_wind")
+
+    def test_record_count_is_kept_plus_excluded(self, tmp_path):
+        path = write_csv(tmp_path, [line(), line(kind="international"), line(wind="x"),
+                                    line(actual="")])
+        loaded = load_flights(path)
+        result = preprocess(loaded)
+        assert (result.record_count, len(result.rows), loaded.malformed_count) == (3, 1, 1)
+
     def test_filtering_idempotent(self, tmp_path):
         lines = [line(fid=f"F{i}", origin=o, kind=k)
                  for i, (o, k) in enumerate([("SBGR", "domestic"), ("SBXX", "domestic"),
                                              ("SBBR", "international"), ("SBCF", "domestic")])]
-        records = load_flights(write_csv(tmp_path, lines)).records
+        loaded, records = load_all(write_csv(tmp_path, lines))
         states = load_airport_states()
 
         def kept(r):
-            delay_min = (r.actual_departure - r.scheduled_departure).total_seconds() / 60.0
-            return ingest._filter_record(r, delay_min, None, states) is None
+            return ingest._filter_record(r.flight_kind, r.origin_airport, r.destination_airport,
+                                         r.delay_min, None, states) is None
         survivors = [r for r in records if kept(r)]
         again = [r for r in survivors if kept(r)]
         assert again == survivors
-        assert len(preprocess(survivors).rows) == len(survivors)
+        assert len(preprocess(LoadResult(loaded.wx_columns, survivors)).rows) == len(survivors)
 
     def test_label_is_pure_function_of_delay(self, tmp_path):
         for minutes, expected in ((0, 0), (14, 0), (15, 1), (200, 1)):
             actual = f"2003-03-10T{8 + minutes // 60:02d}:{minutes % 60:02d}"
             path = write_csv(tmp_path, [line(actual=actual)])
-            row = preprocess(load_flights(path).records).rows[0]
+            row = preprocess(load_flights(path)).rows[0]
             assert row.delayed == expected
+
+
+class TestBoundedMemory:
+    """preprocess(load_flights(...)) holds the kept rows, not the raw lines."""
+
+    @staticmethod
+    def traced_peak(path, lines):
+        tracemalloc.start()
+        try:
+            result = preprocess(load_flights(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.record_count, result.rows) == (lines, [])
+        return peak
+
+    def test_peak_does_not_grow_with_excluded_lines(self, tmp_path):
+        peaks = {}
+        for lines in (5_000, 20_000):
+            path = write_csv(tmp_path, [line(fid=f"F{i}", kind="international")
+                                        for i in range(lines)])
+            preprocess(load_flights(path))  # one-time allocations, untraced
+            peaks[lines] = self.traced_peak(path, lines)
+        assert max(peaks.values()) < 256 * 1024, peaks
+        assert peaks[20_000] < peaks[5_000] + 16 * 1024, peaks
 
 
 class TestConfig:
@@ -154,6 +232,11 @@ class TestConfig:
         states = load_airport_states()
         assert states["SBGR"] == "SP" and states["SBPA"] == "RS"
         assert len(states) == 10
+
+    def test_states_file_with_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text("code,state\nSBGR,SP\nSBFZ,CE\n", encoding="utf-8-sig")
+        assert load_airport_states(path) == {"SBGR": "SP", "SBFZ": "CE"}
 
 
 def column(values):
