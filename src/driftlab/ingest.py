@@ -104,25 +104,6 @@ def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
     return {row["code"]: row["state"] for row in reader}
 
 
-def _read_header(reader, path: Path) -> list[str]:
-    """The stripped column names; refused unless each fixed column is there
-    and every column is fixed or ``wx_``-prefixed and named once."""
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ValueError(f"flight CSV {path} has no header row")
-    for col in header:
-        if col not in FIXED_COLUMNS and not col.startswith(WEATHER_PREFIX):
-            raise ValueError(f"unknown column in header: {col!r}")
-    duplicated = sorted(col for col, n in Counter(header).items() if n > 1)
-    if duplicated:
-        raise ValueError(f"duplicate columns in header: {duplicated}")
-    missing = [c for c in FIXED_COLUMNS if c not in header]
-    if missing:
-        raise ValueError(f"header is missing expected columns: {missing}")
-    return header
-
-
 def load_flights(path: str | Path) -> LoadResult:
     """Check the raw CSV's header now and return its schema with a lazy
     stream of the well-formed records; malformed lines are counted with a
@@ -136,7 +117,19 @@ def load_flights(path: str | Path) -> LoadResult:
     if not path.exists():
         raise FileNotFoundError(f"flight CSV not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = _read_header(csv.reader(fh), path)
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise ValueError(f"flight CSV {path} has no header row")
+    for col in header:
+        if col not in FIXED_COLUMNS and not col.startswith(WEATHER_PREFIX):
+            raise ValueError(f"unknown column in header: {col!r}")
+    duplicated = sorted(col for col, n in Counter(header).items() if n > 1)
+    if duplicated:
+        raise ValueError(f"duplicate columns in header: {duplicated}")
+    missing = [c for c in FIXED_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"header is missing expected columns: {missing}")
     wx_columns = tuple(sorted(c for c in header if c.startswith(WEATHER_PREFIX)))
     malformed: list[tuple[int, str]] = []
     return LoadResult(wx_columns, _read_records(path, header, wx_columns, malformed), malformed)
