@@ -74,17 +74,6 @@ class TestLoadFlights:
         with pytest.raises(ValueError, match="missing expected"):
             load_flights(path)
 
-    def test_duplicate_column_fatal(self, tmp_path):
-        path = write_csv(tmp_path, [line() + ",4.0"], header=HEADER.rstrip() + ",wx_temp\n")
-        with pytest.raises(ValueError, match="duplicate columns in header: \\['wx_temp'\\]"):
-            load_flights(path)
-
-    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
-        path = tmp_path / "flights.csv"
-        path.write_text(HEADER + line(), encoding="utf-8-sig")
-        result, records = load_all(path)
-        assert len(records) == 1 and result.malformed == []
-
     def test_empty_actual_departure_is_wellformed(self, tmp_path):
         path = write_csv(tmp_path, [line(actual="")])
         _, records = load_all(path)
@@ -232,11 +221,6 @@ class TestConfig:
         states = load_airport_states()
         assert states["SBGR"] == "SP" and states["SBPA"] == "RS"
         assert len(states) == 10
-
-    def test_states_file_with_utf8_byte_order_mark(self, tmp_path):
-        path = tmp_path / "states.csv"
-        path.write_text("code,state\nSBGR,SP\nSBFZ,CE\n", encoding="utf-8-sig")
-        assert load_airport_states(path) == {"SBGR": "SP", "SBFZ": "CE"}
 
 
 def column(values):
