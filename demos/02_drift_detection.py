@@ -1,14 +1,14 @@
 """Weekly delay proportions and the three statistical drift detectors."""
 
 from driftlab import drift, synth
-from driftlab.windowing import batch_sequence, partition_by_year
+from driftlab.windowing import RowTable, batch_sequence, partition_by_year
 
 spec = synth.SyntheticSpec(
     years=6, flights_per_week=200, base_delay_rate=0.2,
     drift_events=(synth.DriftEvent(at_year=4, kind="prior_shift", magnitude=0.2),),
     seed=11)
 rows, _ = synth.generate_stream(spec)
-stream = partition_by_year(rows, (2001, 2006))
+stream = partition_by_year(RowTable.from_rows(rows), (2001, 2006))
 
 # Weekly delay-proportion vector of one training window (b = 1).
 weekly_2003 = drift.weekly_delay_proportions(batch_sequence(stream, 2003, 1))

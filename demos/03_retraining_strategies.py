@@ -5,14 +5,14 @@ import numpy as np
 from driftlab import synth
 from driftlab.learn import ModelSpec
 from driftlab.strategy import run_stream
-from driftlab.windowing import partition_by_year
+from driftlab.windowing import RowTable, partition_by_year
 
 spec = synth.SyntheticSpec(
     years=8, flights_per_week=150, base_delay_rate=0.2,
     drift_events=(synth.DriftEvent(at_year=5, kind="prior_shift", magnitude=0.25),),
     seed=3)
 rows, _ = synth.generate_stream(spec)
-stream = partition_by_year(rows, (2001, 2008))
+stream = partition_by_year(RowTable.from_rows(rows), (2001, 2008))
 
 nb = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
 

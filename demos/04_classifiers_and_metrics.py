@@ -1,18 +1,16 @@
 """The three embedded classifiers, grid search, and the confusion metrics."""
 
-import numpy as np
-
 from driftlab import synth
 from driftlab.learn import (ConfusionCounts, ModelSpec, compute_metrics,
                             confusion_from_predictions, default_grid, feature_count,
                             grid_search_cv, predict, train)
-from driftlab.windowing import partition_by_year
+from driftlab.windowing import RowTable, partition_by_year
 
 spec = synth.SyntheticSpec(years=2, flights_per_week=150, base_delay_rate=0.25, seed=5)
 rows, _ = synth.generate_stream(spec)
-# train and predict read yearly batches; each batch reads its columns once
-train_batch, test_batch = partition_by_year(rows, (2001, 2002))
-truth = np.array([r.delayed for r in test_batch.rows])
+# train and predict read yearly batches: index arrays into one row table
+train_batch, test_batch = partition_by_year(RowTable.from_rows(rows), (2001, 2002))
+truth = test_batch.labels
 
 # Train each classifier kind with explicit hyperparameters; the MLP is the
 # paper-style single-hidden-layer network ("NN" is accepted as an alias).
@@ -27,7 +25,7 @@ for kind, hp in (("NB", {"smoothing": 0.5}),
 
 # Hyperparameter selection: k-fold CV over the default grid, ties toward
 # the smaller model.
-best = grid_search_cv("NB", default_grid("NB", feature_count(train_batch.rows)),
+best = grid_search_cv("NB", default_grid("NB", feature_count(train_batch.table)),
                       train_batch, k=5)
 print("\ngrid-search pick for NB:", best.hyperparameters)
 

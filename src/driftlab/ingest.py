@@ -137,8 +137,9 @@ def load_flights(path: str | Path) -> LoadResult:
 
 def _read_records(path: Path, header: list[str], wx_columns: tuple[str, ...],
                   malformed: list[tuple[int, str]]) -> Iterator[RawFlightRecord]:
-    """Validate each data line in one pass; yield it if it is well formed,
-    else append (line number, reason) to malformed."""
+    """Validate each data record in one pass; yield it if it is well formed,
+    else append (its first line's number, reason) to malformed. A record the
+    csv module cannot read raises ValueError naming the file and line."""
     width = len(header)
     i_origin, i_dest, i_sched, i_actual, i_kind = (header.index(c) for c in (
         "origin", "destination", "scheduled_departure", "actual_departure", "kind"))
@@ -147,7 +148,14 @@ def _read_records(path: Path, header: list[str], wx_columns: tuple[str, ...],
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)  # the header, checked by load_flights
-        for lineno, fields in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1
+            try:
+                fields = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise ValueError(f"flight CSV {path}, line {lineno}: {exc}") from None
             # a blank line (no field but whitespace) fails one of the first
             # two checks; it is skipped, not counted
             if len(fields) != width:
@@ -327,16 +335,6 @@ def feature_matrix(rows) -> np.ndarray:
 
 # The categorical model inputs, as FlightFeatureRow attributes.
 CAT_COLUMNS = ("origin_airport", "destination_state", "week_of_year")
-
-
-def row_columns(rows) -> tuple[np.ndarray, list[list], np.ndarray]:
-    """The rows' numeric matrix (feature_matrix), categorical columns (lists
-    of the rows' own values, in CAT_COLUMNS order) and int labels, each read
-    in one C-level pass over the rows. Needs at least one row."""
-    numeric = feature_matrix(rows)
-    cats = [list(map(attrgetter(name), rows)) for name in CAT_COLUMNS]
-    labels = np.fromiter(map(attrgetter("delayed"), rows), dtype=int, count=len(rows))
-    return numeric, cats, labels
 
 
 def save_rows(rows, feature_names, path: str | Path) -> None:

@@ -3,11 +3,11 @@ categorical Naive Bayes, a random forest of CART trees, and a single-hidden-
 layer MLP, plus confusion metrics and k-fold grid search.
 
 All three are seeded and deterministic given (spec, batches): train and
-predict take a window as a sequence of yearly windowing.Batch, and each
-batch reads its columns once. Categorical features (origin airport,
-destination state, week number) are handled natively: NB keeps a smoothed
-unknown bucket, forest splits route unseen levels to the majority child,
-the MLP one-hot encodes with unseen levels as the zero vector.
+predict take a window as a sequence of yearly windowing.Batch of one
+windowing.RowTable. Categorical features (origin airport, destination
+state, week number) are handled natively: NB keeps a smoothed unknown
+bucket, forest splits route unseen levels to the majority child, the MLP
+one-hot encodes with unseen levels as the zero vector.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import CAT_COLUMNS, Normalizer, apply_normalizer, fit_normalizer
 from .special import sigmoid
-from .windowing import Batch
+from .windowing import Batch, RowTable
 
 log = logging.getLogger(__name__)
 
@@ -156,37 +156,29 @@ def compute_metrics(c: ConfusionCounts) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
-# A window's arrays, from its batches' cached columns
+# A window's arrays, gathered from its batches' row table
 # ---------------------------------------------------------------------------
 
-def _vocabs(batches) -> tuple[dict, ...]:
-    """Per categorical column, the union of the batches' levels, sorted by
-    str, mapped to codes 0, 1, ...; a level keeps the type it has in the
-    first batch that has it."""
-    return tuple({level: code for code, level in enumerate(
-                      sorted(set(chain.from_iterable(b.columns.levels[j] for b in batches)),
-                             key=str))}
-                 for j in range(len(CAT_COLUMNS)))
-
-
-def _arrays(batches, vocabs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window_arrays(batches, vocabs: tuple[dict, ...] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[dict, ...]]:
     """The raw numeric matrix, level codes and int labels of the batches'
-    rows, in order: their cached columns, concatenated. A batch's codes are
-    its level codes mapped through a lookup of its levels in vocabs, where a
-    level missing from a vocabulary gets that vocabulary's size."""
-    columns = [b.columns for b in batches]
-    codes = np.empty((sum(c.labels.size for c in columns), len(vocabs)), dtype=int)
-    start = 0
-    for c in columns:
-        stop = start + c.labels.size
-        for j, vocab in enumerate(vocabs):
-            levels = c.levels[j]
-            lookup = np.fromiter(map(vocab.get, levels, repeat(len(vocab))), dtype=int,
-                                 count=len(levels))
-            codes[start:stop, j] = lookup[c.codes[j]]
-        start = stop
-    return (np.concatenate([c.numeric for c in columns]), codes,
-            np.concatenate([c.labels for c in columns]))
+    rows, in order, and the vocabularies that coded them: by default
+    (train), each column's table levels that the window has, in the table's
+    order (sorted by str). A level missing from a vocabulary gets its size.
+    The batches must come from one table."""
+    table = batches[0].table
+    if any(b.table is not table for b in batches):
+        raise ValueError("a window's batches come from different row tables")
+    index = np.concatenate([b.index for b in batches])
+    if vocabs is None:
+        vocabs = tuple({levels[code]: i for i, code in enumerate(np.unique(col[index]))}
+                       for levels, col in zip(table.levels, table.codes))
+    codes = np.empty((index.size, len(vocabs)), dtype=int)
+    for j, (levels, col, vocab) in enumerate(zip(table.levels, table.codes, vocabs)):
+        lookup = np.fromiter(map(vocab.get, levels, repeat(len(vocab))), dtype=int,
+                             count=len(levels))
+        codes[:, j] = lookup[col[index]]
+    return table.features[index], codes, table.delayed[index], vocabs
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +588,12 @@ class TrainedModel:
         return [len(v) for v in self.vocabs]
 
 
-def feature_count(rows) -> int:
-    """Predictor count as seen by the forest: numeric features plus one per
-    categorical column."""
-    if not rows:
+def feature_count(table: RowTable) -> int:
+    """Predictor count as seen by the forest: the table's numeric features
+    plus one per categorical column."""
+    if not len(table):
         raise ValueError("feature_count requires at least one row")
-    return int(np.asarray(rows[0].numeric_features).size) + len(CAT_COLUMNS)
+    return table.features.shape[1] + len(CAT_COLUMNS)
 
 
 def _classifier(spec: ModelSpec):
@@ -622,8 +614,7 @@ def train(spec: ModelSpec, batches) -> TrainedModel:
     batches = [b for b in batches if not b.is_empty]
     if not batches:
         raise ValueError("train requires a non-empty training window")
-    vocabs = _vocabs(batches)
-    raw, codes, y = _arrays(batches, vocabs)
+    raw, codes, y, vocabs = _window_arrays(batches)
     normalizer = fit_normalizer(raw)
     numeric = apply_normalizer(normalizer, raw)
     vocab_sizes = [len(v) for v in vocabs]
@@ -648,7 +639,7 @@ def predict(model: TrainedModel, batches) -> np.ndarray:
     batches = [b for b in batches if not b.is_empty]
     if not batches:
         return np.zeros(0, dtype=int)
-    raw, codes, _ = _arrays(batches, model.vocabs)
+    raw, codes, _, _ = _window_arrays(batches, model.vocabs)
     numeric = apply_normalizer(model.normalizer, raw)
     if model.spec.kind == KIND_MLP:
         X = np.hstack([numeric, one_hot(codes, model.vocab_sizes)])
@@ -689,21 +680,20 @@ def grid_search_cv(kind: str, grid: list[dict], batch: Batch, k: int,
     """Pick the grid point with the best mean k-fold CV accuracy over the
     batch's rows; ties break toward the smaller model (fewer neurons / fewer
     predictors / smaller smoothing). Each fold's training and validation
-    rows are one batch each, made once for the whole search, so every grid
-    point reads the same columns; the normalizer is refit inside every fold."""
+    rows are one batch each, index subsets of the batch's table made once
+    for the whole search; the normalizer is refit inside every fold."""
     kind = canonical_kind(kind)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     if k < 2:
         raise ValueError("cross-validation needs k >= 2 folds")
-    rows = batch.rows
-    if len(rows) < k:
-        raise ValueError(f"{len(rows)} rows cannot fill {k} folds")
+    if len(batch) < k:
+        raise ValueError(f"{len(batch)} rows cannot fill {k} folds")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(rows))
-    folds = np.array_split(order, k)
-    splits = [(Batch(batch.year, tuple(rows[i] for g in range(k) if g != f for i in folds[g])),
-               Batch(batch.year, tuple(rows[i] for i in folds[f])))
+    folds = np.array_split(batch.index[rng.permutation(len(batch))], k)
+    splits = [(Batch(batch.year, batch.table,
+                     np.concatenate([folds[g] for g in range(k) if g != f])),
+               Batch(batch.year, batch.table, folds[f]))
               for f in range(k)]
 
     best_hp = None
@@ -713,7 +703,7 @@ def grid_search_cv(kind: str, grid: list[dict], batch: Batch, k: int,
         for fit, val in splits:
             model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=seed), (fit,))
             preds = predict(model, (val,))
-            accs.append(float(np.mean(preds == val.columns.labels)))
+            accs.append(float(np.mean(preds == val.labels)))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_acc = mean_acc

@@ -25,7 +25,7 @@ from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, STRATEGI
 from .ingest import TOP_AIRPORTS, FlightFeatureRow
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, recorded_step_years, run_stream
-from .windowing import partition_by_year, split_by_origin
+from .windowing import RowTable, partition_by_year, split_by_origin
 
 log = logging.getLogger(__name__)
 
@@ -262,14 +262,13 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     a bug) propagates once the rows already written are flushed, and a
     restart reruns the unit it stopped.
 
-    The scales are scoped in one pass: SB's batches are one
-    partition_by_year of the rows, and each airport's batches split SB's by
-    origin. They live as long as this call, so each batch reads its model
-    columns once (Batch.columns) for every window, model and grid search
-    that uses it. Each scale's stream also gets one drift.DetectionMemo,
-    passed to every run_stream call on it: each (b, detector, t) decision,
-    and the weekly proportions, normality verdicts and tests behind it, are
-    computed once for all the classifiers and replicates of the scale.
+    The rows are read once, into one windowing.RowTable, and every scale's
+    batches are index arrays into it: SB's are one partition_by_year of the
+    table, and each airport's split SB's by origin code. Each scale's stream
+    also gets one drift.DetectionMemo, passed to every run_stream call on
+    it: each (b, detector, t) decision, and the weekly proportions,
+    normality verdicts and tests behind it, are computed once for all the
+    classifiers and replicates of the scale.
 
     hyperparameters maps kind (or an alias such as NN) -> hyperparameter
     dict; a kind that is unknown or given twice, a dict that ModelSpec
@@ -287,9 +286,10 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
         if kind in hyperparameters:
             raise ValueError(f"hyperparameters name {kind} twice: {sorted(given)}")
         hyperparameters[kind] = hp
+    table = RowTable.from_rows(rows)
     forest = hyperparameters.get(learn.KIND_RF)
-    if forest is not None and rows:
-        features = learn.feature_count(rows)
+    if forest is not None and len(table):
+        features = learn.feature_count(table)
         if forest["predictors_per_split"] > features:
             raise ValueError(f"RF hyperparameter predictors_per_split "
                              f"{forest['predictors_per_split']} exceeds the feature count "
@@ -322,7 +322,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     first_year, last_year = grid.years
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
 
-    streams: dict[str | None, list] = {None: partition_by_year(rows, batch_span)}
+    streams: dict[str | None, list] = {None: partition_by_year(table, batch_span)}
     streams.update(split_by_origin(streams[None], [a for a in grid.airports if a is not None]))
     memos = {airport: DetectionMemo() for airport in streams}
     specs: dict = {}  # (airport, kind) -> searched hyperparameters, or the search error
@@ -406,7 +406,7 @@ def _cell_hyperparameters(cell: Cell, stream, hyperparameters, specs_cache,
         first_nonempty = next((b for b in stream if not b.is_empty), None)
         if first_nonempty is None:
             raise ValueError("no non-empty batch available for hyperparameter search")
-        grid = learn.default_grid(cell.classifier, learn.feature_count(first_nonempty.rows))
+        grid = learn.default_grid(cell.classifier, learn.feature_count(first_nonempty.table))
         return learn.grid_search_cv(cell.classifier, grid, first_nonempty,
                                     k=min(cv_folds, max(2, len(first_nonempty))),
                                     seed=base_seed).hyperparameters

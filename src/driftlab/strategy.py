@@ -56,7 +56,7 @@ class StreamRun:
 
 def _score(model: TrainedModel, batch: Batch) -> tuple[ConfusionCounts, Metrics]:
     preds = learn.predict(model, (batch,))
-    confusion = learn.confusion_from_predictions(batch.columns.labels, preds)
+    confusion = learn.confusion_from_predictions(batch.labels, preds)
     return confusion, learn.compute_metrics(confusion)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -15,62 +16,74 @@ log = logging.getLogger(__name__)
 
 # a (year, week) cell's sort key is year * _WEEK_SPAN + week, for weeks in [0, _WEEK_SPAN)
 _WEEK_SPAN = 1 << 32
+_ORIGIN, _WEEK = map(ingest.CAT_COLUMNS.index, ("origin_airport", "week_of_year"))
 
 
 class WindowUnderflowError(ValueError):
     """Requested a batch sequence extending before the start of the stream."""
 
 
-@dataclass(frozen=True)
-class BatchColumns:
-    """A batch's model inputs: the raw numeric matrix, the int labels and,
-    per categorical column (ingest.CAT_COLUMNS), the batch's levels sorted
-    by str with each row's index into them."""
-    numeric: np.ndarray
-    labels: np.ndarray
+@dataclass(frozen=True, eq=False)
+class RowTable:
+    """A sweep's rows as columns, in input order: int64 year, week and
+    delayed, the raw feature matrix (ingest.feature_matrix) and, per
+    ingest.CAT_COLUMNS column, its levels sorted by str and each row's code."""
+    year: np.ndarray
+    week: np.ndarray
+    delayed: np.ndarray
+    features: np.ndarray
     levels: tuple[list, ...]
     codes: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_rows(cls, rows) -> RowTable:
+        """The only reader of row objects: one C-level pass per attribute. A
+        level keeps the type of the first row that has it."""
+        n = len(rows)
+        cats = [list(map(attrgetter(name), rows)) for name in ingest.CAT_COLUMNS]
+        levels = tuple(sorted(set(col), key=str) for col in cats)
+        codes = tuple(
+            np.fromiter(map({level: i for i, level in enumerate(col_levels)}.__getitem__, col),
+                        dtype=np.intp, count=n)
+            for col, col_levels in zip(cats, levels))
+        return cls(year=np.fromiter(map(attrgetter("year"), rows), np.int64, n),
+                   week=np.fromiter(cats[_WEEK], np.int64, n),
+                   delayed=np.fromiter(map(attrgetter("delayed"), rows), np.int64, n),
+                   features=ingest.feature_matrix(rows), levels=levels, codes=codes)
+
+    def __len__(self) -> int:
+        return self.year.size
 
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """All rows of one time slice (one year). A batch compares and hashes by
-    identity, so it can key a memo."""
+    """A year's rows: an index array into a RowTable, in row order. A batch
+    compares and hashes by identity, so it can key a memo."""
     year: int
-    rows: tuple = field(repr=False)
+    table: RowTable = field(repr=False)
+    index: np.ndarray = field(repr=False)
 
     @property
     def is_empty(self) -> bool:
-        return len(self.rows) == 0
+        return self.index.size == 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.index.size
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.table.delayed[self.index]
 
     @cached_property
     def week_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cells, flights, delayed flights): the rows' distinct (year, week)
         cells, ascending, as a (cells, 2) array, and each cell's row and
         delayed-row counts. Counted once per batch."""
-        n = len(self.rows)
-        years = np.fromiter((row.year for row in self.rows), np.int64, n)
-        weeks = np.fromiter((row.week_of_year for row in self.rows), np.int64, n)
-        delayed = np.fromiter((row.delayed for row in self.rows), bool, n)
-        keys, inverse = np.unique(years * _WEEK_SPAN + weeks, return_inverse=True)
+        year, week = self.table.year[self.index], self.table.week[self.index]
+        keys, inverse = np.unique(year * _WEEK_SPAN + week, return_inverse=True)
         cells = np.stack(np.divmod(keys, _WEEK_SPAN), axis=1)
-        return cells, np.bincount(inverse), np.bincount(inverse[delayed], minlength=len(cells))
-
-    @cached_property
-    def columns(self) -> BatchColumns:
-        """The rows' columns, read once per batch (ingest.row_columns) and
-        shared by every model that trains on or predicts the batch. A level
-        keeps the type of the first row that has it. Needs a non-empty batch."""
-        numeric, cats, labels = ingest.row_columns(self.rows)
-        levels = tuple(sorted(set(col), key=str) for col in cats)
-        codes = tuple(
-            np.fromiter(map({level: i for i, level in enumerate(col_levels)}.__getitem__, col),
-                        dtype=np.intp, count=len(col))
-            for col, col_levels in zip(cats, levels))
-        return BatchColumns(numeric=numeric, labels=labels, levels=levels, codes=codes)
+        return cells, np.bincount(inverse), np.bincount(inverse[self.labels != 0],
+                                                        minlength=len(cells))
 
 
 @dataclass(frozen=True)
@@ -90,36 +103,31 @@ class BatchSequence:
         return self.batches[-1].year
 
 
-def partition_by_year(rows, year_range: tuple[int, int]) -> list[Batch]:
-    """One batch per year in [first, last], ascending; empty years are kept
-    (and logged) so downstream indices stay aligned."""
+def partition_by_year(table: RowTable, year_range: tuple[int, int]) -> list[Batch]:
+    """One batch per year in [first, last], ascending, its rows in input
+    order; empty years are kept (and logged) so downstream indices stay aligned."""
     first, last = year_range
     if last < first:
         raise ValueError(f"empty year range {year_range}")
-    buckets: dict[int, list] = {year: [] for year in range(first, last + 1)}
-    for row in rows:
-        if first <= row.year <= last:
-            buckets[row.year].append(row)
-    batches = [Batch(year=year, rows=tuple(buckets[year])) for year in range(first, last + 1)]
+    batches = [Batch(year, table, np.flatnonzero(table.year == year))
+               for year in range(first, last + 1)]
     _log_empty("partition_by_year", batches)
     return batches
 
 
 def split_by_origin(stream: list[Batch], origins) -> dict[str, list[Batch]]:
     """Each origin's stream: per batch of stream, a batch of its rows from
-    that origin, in stream order. One pass over the stream's rows; empty
-    years are kept and logged, as in partition_by_year."""
-    groups = []
+    that origin, in stream order. Empty years are kept and logged, as in
+    partition_by_year."""
+    scoped: dict[str, list[Batch]] = {origin: [] for origin in origins}
     for batch in stream:
-        by_origin: dict[str, list] = {}
-        for row in batch.rows:
-            by_origin.setdefault(row.origin_airport, []).append(row)
-        groups.append(by_origin)
-    scoped = {}
-    for origin in origins:
-        scoped[origin] = [Batch(year=batch.year, rows=tuple(by_origin.get(origin, ())))
-                          for batch, by_origin in zip(stream, groups)]
-        _log_empty(origin, scoped[origin])
+        levels = batch.table.levels[_ORIGIN]
+        codes = batch.table.codes[_ORIGIN][batch.index]
+        for origin, batches in scoped.items():
+            code = levels.index(origin) if origin in levels else -1
+            batches.append(Batch(batch.year, batch.table, batch.index[codes == code]))
+    for origin, batches in scoped.items():
+        _log_empty(origin, batches)
     return scoped
 
 

@@ -1,6 +1,4 @@
 import sys
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from driftlab.ingest import FlightFeatureRow
-from driftlab.windowing import Batch
+from driftlab.windowing import Batch, RowTable, partition_by_year
 
 
 def make_row(year=2003, week=1, delayed=0, origin="SBGR", state="SP",
@@ -21,10 +19,17 @@ def make_row(year=2003, week=1, delayed=0, origin="SBGR", state="SP",
 
 
 def as_batches(rows) -> list[Batch]:
-    """The rows as batches of consecutive same-year rows, the input of
-    learn.train and learn.predict: concatenated, their rows are the rows in
-    order."""
-    return [Batch(year, tuple(group)) for year, group in groupby(rows, key=attrgetter("year"))]
+    """The rows as one RowTable in batches of consecutive same-year rows,
+    the input of learn.train and learn.predict: concatenated, their rows are
+    the rows in order."""
+    table = RowTable.from_rows(rows)
+    runs = np.split(np.arange(len(table)), np.flatnonzero(np.diff(table.year)) + 1)
+    return [Batch(int(table.year[run[0]]), table, run) for run in runs if run.size]
+
+
+def stream_of(rows, year_range) -> list[Batch]:
+    """partition_by_year of the rows' table."""
+    return partition_by_year(RowTable.from_rows(rows), year_range)
 
 
 def weekly_rows(year, weeks=52, per_week=100, delayed_per_week=20, origin="SBGR"):

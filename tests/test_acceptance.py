@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import stream_of
 from driftlab import drift, stats, synth
 from driftlab.learn import MLP, ConfusionCounts, ModelSpec, compute_metrics
 from driftlab.runner import ExperimentGrid, drift_analysis, grid_cells, row_key
 from driftlab.strategy import run_stream
-from driftlab.windowing import batch_sequence, partition_by_year
+from driftlab.windowing import batch_sequence
 
 NB = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
 
@@ -55,7 +56,7 @@ def random_stream(rng):
                                base_delay_rate=0.25, drift_events=tuple(events),
                                seed=int(rng.integers(0, 2 ** 31)))
     rows, _ = synth.generate_stream(spec)
-    return partition_by_year(rows, (2001, 2000 + years))
+    return stream_of(rows, (2001, 2000 + years))
 
 
 def test_criterion_1_strategy_bookkeeping():
@@ -186,7 +187,7 @@ def test_criterion_4_null_calibration():
             spec = synth.SyntheticSpec(years=16, flights_per_week=200,
                                        base_delay_rate=0.2, seed=seed)
             rows, _ = synth.generate_stream(spec)
-            stream = partition_by_year(rows, (2001, 2016))
+            stream = stream_of(rows, (2001, 2016))
             weekly = [drift.weekly_delay_proportions(batch_sequence(stream, b.year, 1))
                       for b in stream]
             for i in range(2, len(weekly)):
@@ -211,7 +212,7 @@ def test_criterion_5_injected_drift_sensitivity():
                                                magnitude=0.25),),
                 seed=seed)
             rows, _ = synth.generate_stream(spec)
-            stream = partition_by_year(rows, (2001, 2002))
+            stream = stream_of(rows, (2001, 2002))
             current = drift.weekly_delay_proportions(batch_sequence(stream, 2002, 1))
             previous = drift.weekly_delay_proportions(batch_sequence(stream, 2001, 1))
             hits += drift.detect("mean", current, previous).drift
@@ -231,7 +232,7 @@ def test_criterion_6_retraining_beats_baseline():
                                            magnitude=0.10)),
             seed=42)
         rows, _ = synth.generate_stream(spec)
-        stream = partition_by_year(rows, (2001, 2010))
+        stream = stream_of(rows, (2001, 2010))
 
         def median_f1(dh):
             values = []

@@ -130,6 +130,19 @@ class TestPreprocessCommand:
         rows, _ = ingest.load_rows(out)
         assert [r.destination_state for r in rows] == ["CE"]
 
+    def test_over_long_field_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        long_field = "x" * 200_000  # over the csv module's 131072-character limit
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+            "F1,SBGR,SBBR,2003-03-10T08:00,2003-03-10T08:40,domestic\n"
+            f'F2,SBGR,SBBR,"{long_field}",2003-03-10T08:40,domestic\n')
+        out = tmp_path / "rows.npz"
+        assert main(["preprocess", str(csv_path), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_path}, line 3: field larger than field limit" in err
+        assert not out.exists()
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["preprocess", str(tmp_path / "nope.csv"), "-o",
                      str(tmp_path / "o.npz")]) == 1

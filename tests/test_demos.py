@@ -1,5 +1,5 @@
-"""The quick demos run to completion. 04 and 05 (about 50 s together) are
-left out to keep the suite fast."""
+"""The quick demos run to completion. 04 and 05, the slow ones, are left
+out to keep the suite fast; CI runs them in a step of their own."""
 
 import os
 import subprocess

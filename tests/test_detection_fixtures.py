@@ -18,10 +18,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from conftest import stream_of
 from driftlab import drift, stats, synth
 from driftlab.drift import DETECTORS, DetectionMemo, decide_drift, weekly_delay_proportions
 from driftlab.synth import DriftEvent, SyntheticSpec
-from driftlab.windowing import batch_sequence, partition_by_year
+from driftlab.windowing import batch_sequence
 
 FIXTURES = Path(__file__).parent / "golden" / "detection_fixtures.json"
 
@@ -74,7 +75,7 @@ def detection_records() -> dict:
     decisions: dict = {}
     for scale in SCALES:
         scoped = [r for r in rows if scale is None or r.origin_airport == scale]
-        stream = partition_by_year(scoped, YEARS)
+        stream = stream_of(scoped, YEARS)
         memo = DetectionMemo()
         name = scale or "SB"
         for b in BSS:
@@ -134,7 +135,7 @@ def test_normality_verdict_is_that_of_both_tests():
     alpha = drift.DEFAULT_ALPHA
     outcomes = set()
     for scale in SCALES:
-        stream = partition_by_year([r for r in rows if scale is None or r.origin_airport == scale],
+        stream = stream_of([r for r in rows if scale is None or r.origin_airport == scale],
                                    YEARS)
         for b in BSS:
             for end in range(YEARS[0] + b - 1, YEARS[1] + 1):

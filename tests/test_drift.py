@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_row, varied_weekly_rows, weekly_rows
+from conftest import make_row, stream_of, varied_weekly_rows, weekly_rows
 from driftlab import drift, stats
 from driftlab.drift import (DETECTORS, DetectionMemo, InsufficientWeeklySupportError,
                             WeeklyProportions, decide_drift, detect, weekly_delay_proportions)
 from driftlab.stats import DegenerateSampleError
-from driftlab.windowing import Batch, BatchSequence, batch_sequence, partition_by_year
+from driftlab.windowing import Batch, BatchSequence, RowTable, batch_sequence
 
 
 def proportions(values, year=2003):
@@ -23,7 +23,7 @@ def noisy(mean, n=52, seed=0, scale=0.03):
 class TestWeeklyProportions:
     def test_uniform_construction(self):
         rows = weekly_rows(2003, weeks=52, per_week=100, delayed_per_week=20)
-        stream = partition_by_year(rows, (2003, 2003))
+        stream = stream_of(rows, (2003, 2003))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2003, 1))
         assert len(weekly) == 52
         assert np.allclose(weekly.proportions, 0.2)
@@ -31,14 +31,14 @@ class TestWeeklyProportions:
     def test_week_without_flights_has_no_entry(self):
         rows = [r for r in weekly_rows(2003, weeks=10, per_week=20, delayed_per_week=5)
                 if r.week_of_year != 4]
-        stream = partition_by_year(rows, (2003, 2003))
+        stream = stream_of(rows, (2003, 2003))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2003, 1))
         assert len(weekly) == 9
         assert all(week != 4 for week in weekly.weeks)
 
     def test_two_year_window_has_104_entries(self):
         rows = weekly_rows(2003) + weekly_rows(2004)
-        stream = partition_by_year(rows, (2003, 2004))
+        stream = stream_of(rows, (2003, 2004))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2004, 2))
         assert len(weekly) == 104
         years = weekly.years.tolist()
@@ -47,7 +47,7 @@ class TestWeeklyProportions:
     def test_thin_weeks_dropped(self):
         rows = weekly_rows(2003, weeks=8, per_week=3, delayed_per_week=1)
         rows += weekly_rows(2004, weeks=8, per_week=10, delayed_per_week=2)
-        stream = partition_by_year(rows, (2003, 2004))
+        stream = stream_of(rows, (2003, 2004))
         weekly = weekly_delay_proportions(batch_sequence(stream, 2004, 2),
                                           min_week_flights=5)
         assert all(year == 2004 for year in weekly.years)
@@ -56,16 +56,18 @@ class TestWeeklyProportions:
         """The reference: per-row (year, week) counts, summed over the window
         and divided in chronological order."""
         rng = np.random.default_rng(7)
-        batches = []
+        rows, spans = [], []
         for year in (2003, 2004, 2005):
             weeks = rng.integers(1, 54, size=int(rng.integers(0, 400)))
             # some rows of 2004 carry 2003, as a batch built by hand may
-            batches.append(Batch(year=year, rows=tuple(
-                make_row(year=year - (year == 2004 and i % 7 == 0), week=int(w),
-                         delayed=int(rng.uniform() < 0.3)) for i, w in enumerate(weeks))))
+            spans.append((year, len(rows), len(rows) + weeks.size))
+            rows += [make_row(year=year - (year == 2004 and i % 7 == 0), week=int(w),
+                              delayed=int(rng.uniform() < 0.3)) for i, w in enumerate(weeks)]
+        table = RowTable.from_rows(rows)
+        batches = [Batch(year, table, np.arange(start, stop)) for year, start, stop in spans]
         for mwf in (1, 5):
             counts: dict = {}
-            for row in (row for batch in batches for row in batch.rows):
+            for row in rows:
                 n, d = counts.get((row.year, row.week_of_year), (0, 0))
                 counts[(row.year, row.week_of_year)] = (n + 1, d + row.delayed)
             kept = [(cell, n, d / n) for cell, (n, d) in sorted(counts.items()) if n >= mwf]
@@ -77,7 +79,7 @@ class TestWeeklyProportions:
 
     def test_all_weeks_thin_errors(self):
         rows = weekly_rows(2003, weeks=6, per_week=2, delayed_per_week=1)
-        stream = partition_by_year(rows, (2003, 2003))
+        stream = stream_of(rows, (2003, 2003))
         with pytest.raises(InsufficientWeeklySupportError):
             weekly_delay_proportions(batch_sequence(stream, 2003, 1))
 
@@ -165,7 +167,7 @@ class TestActDrift:
         for i, delayed in enumerate(rates):
             rows += weekly_rows(2003 + i, weeks=52, per_week=100,
                                 delayed_per_week=delayed)
-        stream = partition_by_year(rows, (2003, 2003 + len(rates) - 1))
+        stream = stream_of(rows, (2003, 2003 + len(rates) - 1))
         return stream
 
     def test_passive_always_trains(self):
@@ -184,7 +186,7 @@ class TestActDrift:
 
     def test_active_identical_distributions_no_retrain(self):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004)
-        stream = partition_by_year(rows, (2003, 2004))
+        stream = stream_of(rows, (2003, 2004))
         d_i = batch_sequence(stream, 2004, 1)
         d_j = batch_sequence(stream, 2003, 1)
         assert decide_drift("mean", "active", d_i, d_j)[0] is False
@@ -209,7 +211,7 @@ class TestActDrift:
         rows = []
         for year in (2003, 2004):
             rows += weekly_rows(year, weeks=3, per_week=100, delayed_per_week=20)
-        stream = partition_by_year(rows, (2003, 2004))
+        stream = stream_of(rows, (2003, 2004))
         d_i = batch_sequence(stream, 2004, 1)
         d_j = batch_sequence(stream, 2003, 1)
         assert decide_drift("mean", "active", d_i, d_j) == (True, None)
@@ -220,7 +222,7 @@ class TestActDrift:
         monkeypatch.setattr(drift.stats, "welch_t", broken)
         monkeypatch.setattr(drift.stats, "wilcoxon_rank_sum", broken)
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004)
-        stream = partition_by_year(rows, (2003, 2004))
+        stream = stream_of(rows, (2003, 2004))
         with pytest.raises(ValueError, match="bug inside detection"):
             decide_drift("mean", "active", batch_sequence(stream, 2004, 1),
                          batch_sequence(stream, 2003, 1))
@@ -229,12 +231,12 @@ class TestActDrift:
         # same labels, different features -> identical decision
         rows_a = (varied_weekly_rows(2003, base=14)
                   + varied_weekly_rows(2004, base=30))
-        stream_a = partition_by_year(rows_a, (2003, 2004))
+        stream_a = stream_of(rows_a, (2003, 2004))
         rows_b = []
-        for r in [row for b in stream_a for row in b.rows]:
+        for r in rows_a:
             rows_b.append(make_row(year=r.year, week=r.week_of_year, delayed=r.delayed,
                                    features=tuple(np.sqrt(r.numeric_features))))
-        stream_b = partition_by_year(rows_b, (2003, 2004))
+        stream_b = stream_of(rows_b, (2003, 2004))
         for dd in DETECTORS:
             da = detect(dd, weekly_delay_proportions(batch_sequence(stream_a, 2004, 1)),
                         weekly_delay_proportions(batch_sequence(stream_a, 2003, 1)))
@@ -248,7 +250,7 @@ class TestDetectionMemo:
         rows = []
         for i, year in enumerate(range(2003, 2007)):
             rows += varied_weekly_rows(year, base=14 + 3 * i)
-        return partition_by_year(rows, (2003, 2006))
+        return stream_of(rows, (2003, 2006))
 
     def test_batch_counts_give_the_same_proportions(self):
         stream = self._stream()

@@ -59,6 +59,16 @@ class TestLoadFlights:
         assert len(list(result.records)) == 0
         assert [lineno for lineno, _ in result.malformed] == [2, 4]
 
+    def test_lines_numbered_after_a_multi_line_field(self, tmp_path):
+        """A record is numbered by its first physical line, also after a
+        quoted field that spans two lines."""
+        path = write_csv(tmp_path, [line(sched='"2003-03-10\nT08:00"'), line(),
+                                    line(wind="breezy")])
+        result, records = load_all(path)
+        assert len(records) == 1
+        assert [lineno for lineno, _ in result.malformed] == [2, 5]
+        assert "bad numeric value 'breezy' in wx_wind" in result.malformed[1][1]
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_flights(tmp_path / "nope.csv")

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import as_batches, make_row
-from driftlab import ingest
+from driftlab import learn
 from driftlab.ingest import apply_normalizer, fit_normalizer
 from driftlab.learn import (MLP, ConfusionCounts, DecisionTree, ModelSpec,
                             canonical_kind, compute_metrics, confusion_from_predictions,
                             default_grid, grid_search_cv, load_model, model_bytes, one_hot,
-                            predict, save_model, train, _arrays, _vocabs)
-from driftlab.windowing import Batch
+                            predict, save_model, train, _window_arrays)
+from driftlab.windowing import Batch, RowTable
+
+
+EMPTY = RowTable.from_rows([])
 
 
 def labels(rows):
@@ -85,7 +88,7 @@ class TestKinds:
 
 def reference_extract(rows):
     """The window's columns written row by row, the definition that
-    learn._arrays must match."""
+    learn._window_arrays must match."""
     numeric = np.vstack([r.numeric_features for r in rows])
     cats = [[r.origin_airport for r in rows],
             [r.destination_state for r in rows],
@@ -141,19 +144,23 @@ def seeded_rows(seed, n=300, n_features=4, delayed=int, year=2003, origins=ORIGI
                      features=features[i]) for i in range(n)]
 
 
+def seeded_window_rows(seed, n_batches, delayed=int, week=int):
+    """The rows of n_batches consecutive years, of unequal sizes, whose
+    origin, state and week level sets differ."""
+    return [row for i in range(n_batches)
+            for row in seeded_rows(seed + i, n=120 + 40 * i, delayed=delayed, year=2003 + i,
+                                   origins=ORIGINS[i:i + 4], states=STATES[2 * i:2 * i + 3],
+                                   weeks=(1 + 10 * i, 30 + 10 * i), week=week)]
+
+
 def seeded_window(seed, n_batches, delayed=int, week=int):
-    """n_batches consecutive yearly batches of unequal sizes whose origin,
-    state and week level sets differ."""
-    return [Batch(2003 + i, tuple(seeded_rows(seed + i, n=120 + 40 * i, delayed=delayed,
-                                              year=2003 + i, origins=ORIGINS[i:i + 4],
-                                              states=STATES[2 * i:2 * i + 3],
-                                              weeks=(1 + 10 * i, 30 + 10 * i), week=week)))
-            for i in range(n_batches)]
+    """seeded_window_rows as yearly batches of one table."""
+    return as_batches(seeded_window_rows(seed, n_batches, delayed=delayed, week=week))
 
 
 class TestConversion:
-    """A window's vocabularies and arrays, built from its batches' cached
-    columns, equal a plain per-row reference in key types, dtype, shape and
+    """A window's vocabularies and arrays, gathered from its batches' row
+    table, equal a plain per-row reference in key types, dtype, shape and
     bytes."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -161,16 +168,29 @@ class TestConversion:
                              ids=["int", "bool", "np.int64", "np.int8"])
     def test_extract_and_encode_match_reference(self, seed, delayed):
         """Windows of 1, 2 and 3 batches."""
-        batches = seeded_window(seed, seed + 1, delayed=delayed)
+        rows = seeded_window_rows(seed, seed + 1, delayed=delayed)
+        batches = as_batches(rows)
+        assert len(batches) == seed + 1
         if len(batches) > 1:
-            level_sets = [set(b.columns.levels[1]) for b in batches]
+            level_sets = [set(b.table.codes[1][b.index].tolist()) for b in batches]
             assert level_sets[0] != level_sets[1]
-        rows = [r for b in batches for r in b.rows]
         ref_numeric, ref_cats, ref_y = reference_extract(rows)
-        vocabs = _vocabs(batches)
+        numeric, codes, y, vocabs = _window_arrays(batches)
         assert_same_vocabs(vocabs, reference_vocabs(ref_cats))
-        numeric, codes, y = _arrays(batches, vocabs)
         assert np.isnan(numeric).any()
+        assert_same_array(numeric, ref_numeric)
+        assert_same_array(codes, reference_encode(ref_cats, vocabs))
+        assert_same_array(y, ref_y)
+
+    @pytest.mark.parametrize("years", [(2003,), (2004,), (2005,), (2003, 2004), (2004, 2005)])
+    def test_window_of_a_larger_table(self, years):
+        """A window of some of the table's batches: its vocabularies hold
+        only the levels its own rows have, and its arrays are its rows'."""
+        batches = [b for b in seeded_window(4, 3) if b.year in years]
+        rows = [r for r in seeded_window_rows(4, 3) if r.year in years]
+        ref_numeric, ref_cats, ref_y = reference_extract(rows)
+        numeric, codes, y, vocabs = _window_arrays(batches)
+        assert_same_vocabs(vocabs, reference_vocabs(ref_cats))
         assert_same_array(numeric, ref_numeric)
         assert_same_array(codes, reference_encode(ref_cats, vocabs))
         assert_same_array(y, ref_y)
@@ -184,28 +204,24 @@ class TestConversion:
 
             def week(w):
                 return next(types)(w)
-        batches = seeded_window(7, 3, week=week)
-        rows = [r for b in batches for r in b.rows]
-        assert_same_vocabs(_vocabs(batches), reference_vocabs(reference_extract(rows)[1]))
+        rows = seeded_window_rows(7, 3, week=week)
+        assert_same_vocabs(_window_arrays(as_batches(rows))[3],
+                           reference_vocabs(reference_extract(rows)[1]))
 
     def test_feature_dtype_kept(self):
-        batches = seeded_window(3, 2)
-        for b in batches:
-            for r in b.rows:
-                r.numeric_features = r.numeric_features.astype(np.float32)
-        rows = [r for b in batches for r in b.rows]
-        numeric, _, _ = _arrays(batches, _vocabs(batches))
+        rows = seeded_window_rows(3, 2)
+        for r in rows:
+            r.numeric_features = r.numeric_features.astype(np.float32)
+        numeric = _window_arrays(as_batches(rows))[0]
         assert numeric.dtype == np.float32 and np.isnan(numeric).any()
         assert_same_array(numeric, reference_extract(rows)[0])
 
     def test_unknown_levels_get_vocabulary_size(self):
-        vocabs = _vocabs(seeded_window(5, 2))
-        batches = seeded_window(11, 3)
-        batches[-1] = Batch(batches[-1].year, batches[-1].rows + (
+        vocabs = _window_arrays(seeded_window(5, 2))[3]
+        rows = seeded_window_rows(11, 3) + [
             make_row(year=2005, origin="SBPA", state="RR", week=60, features=(0.0,) * 4),
-            make_row(year=2005, origin="SBGR", state="AP", week=1, features=(0.0,) * 4)))
-        rows = [r for b in batches for r in b.rows]
-        _, codes, _ = _arrays(batches, vocabs)
+            make_row(year=2005, origin="SBGR", state="AP", week=1, features=(0.0,) * 4)]
+        _, codes, _, _ = _window_arrays(as_batches(rows), vocabs)
         assert_same_array(codes, reference_encode(reference_extract(rows)[1], vocabs))
         assert codes[-2].tolist() == [len(v) for v in vocabs]
         assert codes[-1].tolist() == [vocabs[0]["SBGR"], len(vocabs[1]), vocabs[2][1]]
@@ -213,23 +229,17 @@ class TestConversion:
     def test_ragged_features_refused(self):
         rows = [make_row(features=(0.1, 0.2)), make_row(features=(0.1, 0.2, 0.3))]
         with pytest.raises(ValueError):
-            _arrays(as_batches(rows), ())
+            RowTable.from_rows(rows)
 
-    def test_each_batch_reads_its_rows_once(self, monkeypatch):
-        batches = seeded_window(2, 3)
-        reads = []
-        real = ingest.row_columns
-
-        def counting(rows):
-            reads.append(rows)
-            return real(rows)
-        monkeypatch.setattr(ingest, "row_columns", counting)
+    def test_window_from_two_tables_refused(self):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5})
-        model = train(spec, batches)
-        for _ in range(2):
-            predict(model, batches[1:])
-            train(spec, batches[:2])
-        assert [len(r) for r in reads] == [len(b) for b in batches]
+        first, second = seeded_window(2, 2), seeded_window(3, 2)
+        model = train(spec, first)
+        for window in ([first[0], second[1]], [second[0], first[1]]):
+            with pytest.raises(ValueError, match="different row tables"):
+                train(spec, window)
+            with pytest.raises(ValueError, match="different row tables"):
+                predict(model, window)
 
 
 class TestNaiveBayes:
@@ -246,7 +256,7 @@ class TestNaiveBayes:
         model = train(spec, as_batches(toy_separable_rows))
         clf = model.classifier
 
-        raw, codes, y = _arrays(as_batches(toy_separable_rows), model.vocabs)
+        raw, codes, y, _ = _window_arrays(as_batches(toy_separable_rows), model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)
 
         for i in range(6):
@@ -270,7 +280,7 @@ class TestNaiveBayes:
     def test_rescaling_invariance_of_argmax(self, toy_separable_rows):
         spec = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
         model = train(spec, as_batches(toy_separable_rows))
-        raw, codes, _ = _arrays(as_batches(toy_separable_rows), model.vocabs)
+        raw, codes, _, _ = _window_arrays(as_batches(toy_separable_rows), model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)
         jll = model.classifier.joint_log_likelihood(numeric, codes)
         # rescaling every likelihood by a positive constant shifts all
@@ -299,7 +309,7 @@ class TestRandomForest:
                          hyperparameters={"trees_count": 1, "predictors_per_split": 5})
         model = train(spec, as_batches(toy_separable_rows))
         window = as_batches(toy_separable_rows)
-        raw, codes, y = _arrays(window, _vocabs(window))
+        raw, codes, y, _ = _window_arrays(window)
         numeric = apply_normalizer(fit_normalizer(raw), raw)
         rng = np.random.default_rng([4, 0])
         idx = rng.integers(0, y.size, size=y.size)  # tree 0's bootstrap draw
@@ -384,7 +394,7 @@ class TestMLP:
                              hyperparameters={"hidden_neurons": 4, "learning_rate": 0.05,
                                               "epochs": epochs, "batch_size": n})
             model = train(spec, as_batches(toy_separable_rows))
-            raw, codes, y = _arrays(as_batches(toy_separable_rows), model.vocabs)
+            raw, codes, y, _ = _window_arrays(as_batches(toy_separable_rows), model.vocabs)
             X = np.hstack([apply_normalizer(model.normalizer, raw),
                            one_hot(codes, model.vocab_sizes)])
             history.append(model.classifier.loss(X, y.astype(float)))
@@ -429,13 +439,14 @@ class TestPredictContract:
         model = train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}),
                       as_batches(toy_separable_rows))
         assert predict(model, []).size == 0
-        assert predict(model, [Batch(2004, ())]).size == 0
+        assert predict(model, [Batch(2004, EMPTY, np.arange(0))]).size == 0
 
     def test_train_requires_rows(self):
         with pytest.raises(ValueError):
             train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}), [])
         with pytest.raises(ValueError):
-            train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}), [Batch(2003, ())])
+            train(ModelSpec(kind="NB", hyperparameters={"smoothing": 1.0}),
+                  [Batch(2003, EMPTY, np.arange(0))])
 
     @pytest.mark.parametrize("kind,hp", [
         ("NB", {"smoothing": 0.5}),
@@ -445,7 +456,7 @@ class TestPredictContract:
     def test_classifier_predicts_empty_on_zero_rows(self, toy_separable_rows, kind, hp):
         window = as_batches(toy_separable_rows)
         model = train(ModelSpec(kind=kind, hyperparameters=hp, seed=1), window)
-        raw, codes, _ = _arrays(window, model.vocabs)
+        raw, codes, _, _ = _window_arrays(window, model.vocabs)
         numeric = apply_normalizer(model.normalizer, raw)[:0]
         codes = codes[:0]
         if kind == "MLP":
@@ -457,7 +468,7 @@ class TestPredictContract:
 
 class TestGridSearch:
     def test_grid_of_one(self, toy_separable_rows):
-        best = grid_search_cv("NB", [{"smoothing": 0.25}], Batch(2003, tuple(toy_separable_rows)),
+        best = grid_search_cv("NB", [{"smoothing": 0.25}], as_batches(toy_separable_rows)[0],
                               k=4)
         assert best.hyperparameters == {"smoothing": 0.25}
 
@@ -471,14 +482,31 @@ class TestGridSearch:
             rows.append(make_row(delayed=y, week=1 + i % 52, features=(a, b)))
         grid = [{"hidden_neurons": 1, "learning_rate": 3.0, "epochs": 120},
                 {"hidden_neurons": 8, "learning_rate": 3.0, "epochs": 120}]
-        best = grid_search_cv("MLP", grid, Batch(2003, tuple(rows)), k=3, seed=1)
+        best = grid_search_cv("MLP", grid, as_batches(rows)[0], k=3, seed=1)
         assert best.hyperparameters["hidden_neurons"] == 8
 
     def test_tie_breaks_toward_smaller_model(self, toy_separable_rows):
         # both settings classify the easy set perfectly -> smaller smoothing wins
         grid = [{"smoothing": 1.0}, {"smoothing": 0.1}]
-        best = grid_search_cv("NB", grid, Batch(2003, tuple(toy_separable_rows)), k=4)
+        best = grid_search_cv("NB", grid, as_batches(toy_separable_rows)[0], k=4)
         assert best.hyperparameters == {"smoothing": 0.1}
+
+    def test_folds_are_index_subsets_in_permutation_order(self, toy_separable_rows,
+                                                             monkeypatch):
+        """Fold f validates on the f-th chunk of the seeded permutation and
+        trains on the other chunks, fold by fold, each in permutation order;
+        every fold indexes the searched batch's table."""
+        batch = as_batches([make_row(year=2002)] * 5 + toy_separable_rows)[1]
+        windows = []
+        real = learn.train
+        monkeypatch.setattr(learn, "train",
+                            lambda spec, batches: windows.append(batches) or real(spec, batches))
+        grid_search_cv("NB", [{"smoothing": 0.5}], batch, k=3, seed=7)
+        chunks = np.array_split(np.random.default_rng(7).permutation(len(batch)), 3)
+        assert [b.index.tolist() for (b,) in windows] == [
+            batch.index[np.concatenate([chunks[g] for g in range(3) if g != f])].tolist()
+            for f in range(3)]
+        assert all(b.table is batch.table and b.year == batch.year for (b,) in windows)
 
     def test_fold_sizes(self):
         folds = np.array_split(np.arange(1000), 10)
@@ -488,7 +516,7 @@ class TestGridSearch:
 
     def test_empty_grid(self, toy_separable_rows):
         with pytest.raises(ValueError):
-            grid_search_cv("NB", [], Batch(2003, tuple(toy_separable_rows)), k=3)
+            grid_search_cv("NB", [], as_batches(toy_separable_rows)[0], k=3)
 
     def test_default_grids(self):
         assert default_grid("NB", 5) == [{"smoothing": s} for s in (0.1, 0.5, 1.0)]

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stream_of
 from driftlab import learn, runner, synth
 from driftlab.runner import (ExperimentGrid, correlate_drifts_performance,
                              count_drifts, drift_analysis, export_results, grid_cells,
                              load_results, row_key, topk_frequency)
 from driftlab.strategy import ModelStore, StreamRun, recorded_step_years
-from driftlab.windowing import partition_by_year
+from driftlab.windowing import RowTable
 
 FAST_HP = {
     "NB": {"smoothing": 0.5},
@@ -527,7 +528,7 @@ class TestDriftAnalysis:
                                  hyperparameters=FAST_HP)
         assert results
         assert all(r["airport"] == "SBGR" and not r["error"] for r in results)
-        stream = partition_by_year(sbgr, (2001, 2004))
+        stream = stream_of(sbgr, (2001, 2004))
         assert [r["t"] for r in results] == recorded_step_years(stream, 1, "passive",
                                                                 (2001, 2003))
         for r in results:
@@ -541,35 +542,43 @@ class TestDriftAnalysis:
                                  hyperparameters=None, cv_folds=3)
         assert results and not any(r["error"] for r in results)
 
-    def test_each_batch_reads_its_rows_once_per_sweep(self, tmp_path, monkeypatch):
+    def test_one_row_table_per_call(self, tmp_path, monkeypatch):
         """SB and two airports, NB and RF with given hyperparameters and an
-        MLP tuned by grid search at each scale: the row-column reader runs
-        at most once per non-empty batch of each scale, plus once per fold
-        batch (2k per search), however many windows, models, replicates and
-        grid points read them."""
-        from driftlab import ingest
-        reads = []
-        row_columns = ingest.row_columns
-        monkeypatch.setattr(ingest, "row_columns",
-                            lambda rows: reads.append(len(rows)) or row_columns(rows))
+        MLP tuned by grid search at each scale: each drift_analysis call,
+        fresh or resumed, reads its rows into one table, and every window
+        that trains or predicts, grid search folds included, indexes it."""
+        built, read = [], []
+        from_rows = RowTable.from_rows
+        monkeypatch.setattr(RowTable, "from_rows",
+                            classmethod(lambda cls, rows: built.append(from_rows(rows))
+                                        or built[-1]))
+        for name in ("train", "predict"):
+            real = getattr(learn, name)
+
+            def reading(first, batches, real=real):
+                read.extend(b.table for b in batches)
+                return real(first, batches)
+            monkeypatch.setattr(learn, name, reading)
         rows = []
         for seed, airport in enumerate(("SBGR", "SBSP")):
             stream = synth_rows(years=4, seed=seed, flights=6, weeks=12)
             for row in stream:
                 row.origin_airport = airport
             rows += stream
-        k = 2
         grid = tiny_grid(airports=(None, "SBGR", "SBSP"), classifiers=("NB", "RF", "MLP"),
                          years=(2002, 2003), bss=(1, 2), replicates=2,
                          strategies=("baseline", "passive", "active"))
-        results = drift_analysis(rows, grid, tmp_path / "res.csv",
-                                 hyperparameters={"NB": FAST_HP["NB"], "RF": FAST_HP["RF"]},
-                                 cv_folds=k)
-        assert results and not any(r["error"] for r in results)
-        assert {r["airport"] for r in results} == {"SB", "SBGR", "SBSP"}
-        batches = {(scale, row.year) for row in rows for scale in (None, row.origin_airport)}
-        searches = 3  # the MLP's, once per scale
-        assert len(batches) <= len(reads) <= len(batches) + searches * 2 * k
+        out = tmp_path / "res.csv"
+        for call in range(2):  # a fresh sweep, then a resume that reruns its last cells
+            results = drift_analysis(rows, grid, out, cv_folds=2,
+                                     hyperparameters={"NB": FAST_HP["NB"], "RF": FAST_HP["RF"]})
+            assert results and not any(r["error"] for r in results)
+            assert {r["airport"] for r in results} == {"SB", "SBGR", "SBSP"}
+            assert len(built) == call + 1
+            assert read and all(table is built[-1] for table in read)
+            read.clear()
+            lines = out.read_bytes().splitlines(keepends=True)
+            out.write_bytes(b"".join(lines[:-5]))
 
 
 class TestExport:

@@ -4,11 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import varied_weekly_rows
+from conftest import stream_of, varied_weekly_rows
 from driftlab.learn import ModelSpec
 from driftlab import learn
 from driftlab.strategy import ModelStore, recorded_step_years, run_stream
-from driftlab.windowing import partition_by_year
 from driftlab import synth
 
 NB = ModelSpec(kind="NB", hyperparameters={"smoothing": 0.5}, seed=0)
@@ -18,7 +17,7 @@ def stationary_stream(first=2003, last=2006, **kwargs):
     rows = []
     for year in range(first, last + 1):
         rows += varied_weekly_rows(year, **kwargs)
-    return partition_by_year(rows, (first, last))
+    return stream_of(rows, (first, last))
 
 
 def alternating_stream(first=2003, last=2008):
@@ -27,7 +26,7 @@ def alternating_stream(first=2003, last=2008):
     rows = []
     for i, year in enumerate(range(first, last + 1)):
         rows += varied_weekly_rows(year, base=10 if i % 2 == 0 else 55)
-    return partition_by_year(rows, (first, last))
+    return stream_of(rows, (first, last))
 
 
 class TestBookkeeping:
@@ -97,7 +96,7 @@ class TestWindows:
 
     def test_empty_test_batch_skipped(self, caplog):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004) + varied_weekly_rows(2006)
-        stream = partition_by_year(rows, (2003, 2006))
+        stream = stream_of(rows, (2003, 2006))
         with caplog.at_level("WARNING"):
             run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
             # t=2004 skipped (test batch 2005 empty); t=2005 skipped too
@@ -111,7 +110,7 @@ class TestWindows:
 
     def test_one_skip_warning_per_step_and_strategy(self, caplog):
         rows = varied_weekly_rows(2003) + varied_weekly_rows(2004) + varied_weekly_rows(2006)
-        stream = partition_by_year(rows, (2003, 2006))
+        stream = stream_of(rows, (2003, 2006))
         cells = [("active", "mean"), ("active", "variance"), ("baseline", "mean")]
         with caplog.at_level("WARNING"):
             runs = run_stream(stream, 1, cells, NB)
@@ -121,7 +120,7 @@ class TestWindows:
 
     def test_empty_training_window_skipped(self, caplog):
         rows = varied_weekly_rows(2004) + varied_weekly_rows(2005)
-        stream = partition_by_year(rows, (2003, 2005))
+        stream = stream_of(rows, (2003, 2005))
         with caplog.at_level("WARNING"):
             run = run_stream(stream, 1, [("passive", "mean")], NB)[0]
         # t=2003 cannot train (empty window), t=2004 proceeds
@@ -133,7 +132,7 @@ class TestWindows:
         rows = []
         for year in (2004, 2005, 2007, 2009, 2010):
             rows += varied_weekly_rows(year)
-        stream = partition_by_year(rows, (2003, 2010))
+        stream = stream_of(rows, (2003, 2010))
         cells = [("baseline", "mean"), ("passive", "mean"), ("active", "mean_variance")]
         for (dh, _), run in zip(cells, run_stream(stream, b, cells, NB)):
             assert run.error is None
@@ -266,7 +265,7 @@ class TestOnSyntheticDrift:
                                                                   magnitude=0.25),),
                                    seed=13)
         rows, _ = synth.generate_stream(spec)
-        stream = partition_by_year(rows, (2001, 2006))
+        stream = stream_of(rows, (2001, 2006))
         run = run_stream(stream, 1, [("active", "mean")], NB)[0]
         by_t = {s.t: s for s in run.steps}
         assert by_t[2004].drift.drift  # window 2004 vs 2003 straddles the shift
