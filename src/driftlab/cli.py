@@ -63,7 +63,6 @@ def _cmd_run(args) -> int:
         if key != "replicates" and not isinstance(value, list):
             raise ValueError(f"grid {key} must be a list, got {value!r}")
     rows, _ = ingest.load_rows(cfg["rows"])
-    grid_cfg["airports"] = [None if a in (None, "SB") else a for a in grid_cfg["airports"]]
     grid = ExperimentGrid(**{key: value if key == "replicates" else tuple(value)
                              for key, value in grid_cfg.items()})
     results = runner.drift_analysis(
@@ -117,10 +116,9 @@ def _cmd_synth(args) -> int:
     rows, events = synth.generate_stream(spec)
     ingest.save_rows(rows, spec.feature_names, args.output)
     events_path = Path(str(args.output) + ".events.json")
-    events_path.write_text(
-        json.dumps([{"at_year": e.at_year, "kind": e.kind, "magnitude": e.magnitude}
-                    for e in events], indent=2),
-        encoding="utf-8")
+    with ingest.write_atomic(events_path, text=True) as fh:
+        json.dump([{"at_year": e.at_year, "kind": e.kind, "magnitude": e.magnitude}
+                   for e in events], fh, indent=2)
     print(f"{len(rows)} rows -> {args.output}; {len(events)} ground-truth events -> {events_path}")
     return 0
 

@@ -37,6 +37,7 @@ DETECTOR_MEAN = "mean"
 DETECTOR_VARIANCE = "variance"
 DETECTOR_MEAN_VARIANCE = "mean_variance"
 DETECTORS = (DETECTOR_MEAN, DETECTOR_VARIANCE, DETECTOR_MEAN_VARIANCE)
+NO_DETECTOR = "na"  # the detector of a baseline or passive cell, which detects nothing
 
 STRATEGY_BASELINE = "baseline"
 STRATEGY_PASSIVE = "passive"

@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from importlib import resources
@@ -29,6 +31,7 @@ log = logging.getLogger(__name__)
 
 TOP_AIRPORTS = ("SBBR", "SBSV", "SBCT", "SBGL", "SBPA",
                 "SBKP", "SBGR", "SBSP", "SBCF", "SBRJ")
+SB_KEY = "SB"  # the system scale: every top airport's flights together
 
 FIXED_COLUMNS = ("flight_id", "origin", "destination",
                  "scheduled_departure", "actual_departure", "kind")
@@ -337,19 +340,37 @@ def feature_matrix(rows) -> np.ndarray:
 CAT_COLUMNS = ("origin_airport", "destination_state", "week_of_year")
 
 
+@contextmanager
+def write_atomic(path: str | Path, text: bool = False):
+    """Stream writes to path's name plus .tmp (UTF-8 text if text, else binary),
+    which replaces path when the block ends and is removed on any exception:
+    path holds all of its old content or all of the new."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") if text else open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_rows(rows, feature_names, path: str | Path) -> None:
+    """Write the rows to exactly path (no suffix added), through write_atomic."""
     rows = list(rows)
     features = feature_matrix(rows) if rows else np.zeros((0, len(feature_names)))
-    np.savez_compressed(
-        Path(path),
-        origin=np.array([r.origin_airport for r in rows], dtype=np.str_),
-        dest_state=np.array([r.destination_state for r in rows], dtype=np.str_),
-        week=np.array([r.week_of_year for r in rows], dtype=np.int64),
-        year=np.array([r.year for r in rows], dtype=np.int64),
-        delayed=np.array([r.delayed for r in rows], dtype=np.int64),
-        features=features,
-        feature_names=np.array(list(feature_names), dtype=np.str_),
-    )
+    with write_atomic(path) as fh:
+        np.savez_compressed(
+            fh,
+            origin=np.array([r.origin_airport for r in rows], dtype=np.str_),
+            dest_state=np.array([r.destination_state for r in rows], dtype=np.str_),
+            week=np.array([r.week_of_year for r in rows], dtype=np.int64),
+            year=np.array([r.year for r in rows], dtype=np.int64),
+            delayed=np.array([r.delayed for r in rows], dtype=np.int64),
+            features=features,
+            feature_names=np.array(list(feature_names), dtype=np.str_),
+        )
 
 
 def load_rows(path: str | Path) -> tuple[list[FlightFeatureRow], tuple[str, ...]]:

@@ -16,14 +16,13 @@ import io
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import CAT_COLUMNS, Normalizer, apply_normalizer, fit_normalizer
+from .ingest import CAT_COLUMNS, Normalizer, apply_normalizer, fit_normalizer, write_atomic
 from .special import sigmoid
 from .windowing import Batch, RowTable
 
@@ -775,20 +774,9 @@ def _model_from_archive(header: dict, member) -> TrainedModel:
     return TrainedModel(spec=spec, classifier=clf, normalizer=normalizer, vocabs=vocabs)
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write data to a temporary file next to path, then rename it over
-    path: path holds its old content or all of data, never part of it."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_model(model: TrainedModel, path: str | Path) -> None:
-    write_atomic(Path(path), model_bytes(model))
+    with write_atomic(path) as fh:
+        fh.write(model_bytes(model))
 
 
 def load_model(path: str | Path) -> TrainedModel:

@@ -12,7 +12,6 @@ import itertools
 import json
 import logging
 import math
-import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import learn, stats
-from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, STRATEGIES,
-                    STRATEGY_ACTIVE, DetectionMemo, once)
-from .ingest import TOP_AIRPORTS, FlightFeatureRow
+from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DETECTORS, NO_DETECTOR,
+                    STRATEGIES, STRATEGY_ACTIVE, DetectionMemo, once)
+from .ingest import SB_KEY, TOP_AIRPORTS, FlightFeatureRow, write_atomic
 from .learn import KIND_NB, ModelSpec, canonical_kind
 from .strategy import ModelStore, StreamRun, recorded_step_years, run_stream
 from .windowing import RowTable, partition_by_year, split_by_origin
@@ -72,14 +71,13 @@ _CODECS = {
 RESULT_COLUMNS = tuple(_CODECS)
 METRIC_COLUMNS = tuple(col for col, codec in _CODECS.items() if codec is _FLOAT)
 
-SB_KEY = "SB"
-
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Full cross-product by default (the system scale plus each of the ten
-    airports); filter any field for a restricted sweep."""
-    airports: tuple = (None,) + TOP_AIRPORTS
+    """Full cross-product by default (the system scale SB plus each of the
+    ten airports); filter any field for a restricted sweep. An airport None
+    is read as SB, as a classifier NN is read as MLP."""
+    airports: tuple = (SB_KEY,) + TOP_AIRPORTS
     classifiers: tuple = ("NB", "NN", "RF")
     years: tuple[int, int] = (2003, 2017)
     bss: tuple[int, ...] = (1, 2, 3)
@@ -88,6 +86,8 @@ class ExperimentGrid:
     replicates: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "airports",
+                           tuple(SB_KEY if a is None else a for a in self.airports))
         object.__setattr__(self, "classifiers",
                            tuple(canonical_kind(c) for c in self.classifiers))
         for dd in self.detectors:
@@ -110,37 +110,30 @@ class ExperimentGrid:
 
 @dataclass(frozen=True)
 class Cell:
-    airport: str | None
+    """A cell's fields are its result-key columns, in row_key order."""
+    airport: str
     classifier: str
     b: int
+    detector: str
     strategy: str
-    detector: str | None
     replicate: int
 
     @property
-    def airport_key(self) -> str:
-        return self.airport or SB_KEY
-
-    @property
-    def detector_key(self) -> str:
-        return self.detector or "na"
-
-    @property
     def key(self) -> tuple:
-        """The cell's result-key columns: row_key without t."""
-        return (self.airport_key, self.classifier, self.b, self.detector_key, self.strategy,
+        """row_key without t."""
+        return (self.airport, self.classifier, self.b, self.detector, self.strategy,
                 self.replicate)
 
 
 def grid_cells(grid: ExperimentGrid) -> list[Cell]:
     """Deterministic cell enumeration; baseline and passive run once (their
-    detector column records 'na'), active runs once per detector; the
+    detector is NO_DETECTOR), active runs once per detector; the
     deterministic NB collapses to a single replicate."""
     cells = []
     for airport, kind, b in itertools.product(grid.airports, grid.classifiers, grid.bss):
         reps = 1 if kind == KIND_NB else grid.replicates
         for dh in grid.strategies:
-            detectors = grid.detectors if dh == STRATEGY_ACTIVE else (None,)
+            detectors = grid.detectors if dh == STRATEGY_ACTIVE else (NO_DETECTOR,)
             for dd, rep in itertools.product(detectors, range(reps)):
                 cells.append(Cell(airport=airport, classifier=kind, b=b,
                                   strategy=dh, detector=dd, replicate=rep))
@@ -193,21 +186,14 @@ def load_results(path: str | Path) -> list[dict]:
 
 def export_results(rows: list[dict], path: str | Path) -> Path:
     """Write the table as csv with the canonical column order; loading the
-    file reproduces the rows exactly. Rows stream to a temporary file next
-    to the target, which replaces the target only once every row is
-    written: a refused row leaves no file, and an existing one untouched."""
+    file reproduces the rows exactly. Rows stream through ingest.write_atomic,
+    so a refused row leaves no file, and an existing one untouched."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
-            for row in rows:
-                writer.writerow(_format_row(row))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with write_atomic(path, text=True) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_COLUMNS)
+        for row in rows:
+            writer.writerow(_format_row(row))
     return path
 
 
@@ -297,7 +283,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     manifest_path = Path(str(out_path) + ".manifest.json")
     manifest = {
         "version": RESULTS_VERSION,
-        "grid": {**dataclasses.asdict(grid), "airports": [a or SB_KEY for a in grid.airports]},
+        "grid": dataclasses.asdict(grid),
         "base_seed": base_seed, "alpha": alpha, "min_week_flights": min_week_flights,
         "cv_folds": cv_folds, "hyperparameters": hyperparameters,
         "columns": list(RESULT_COLUMNS),
@@ -312,7 +298,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
         fh = open(out_path, "a", newline="", encoding="utf-8")
         writer = csv.writer(fh)
     else:
-        manifest_path.write_text(manifest_text, encoding="utf-8")
+        with write_atomic(manifest_path, text=True) as manifest_fh:
+            manifest_fh.write(manifest_text)
         fh = open(out_path, "w", newline="", encoding="utf-8")
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
@@ -322,8 +309,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     first_year, last_year = grid.years
     batch_span = (first_year - (max(grid.bss) - 1), last_year + 1)
 
-    streams: dict[str | None, list] = {None: partition_by_year(table, batch_span)}
-    streams.update(split_by_origin(streams[None], [a for a in grid.airports if a is not None]))
+    streams = {SB_KEY: partition_by_year(table, batch_span)}
+    streams.update(split_by_origin(streams[SB_KEY], [a for a in grid.airports if a != SB_KEY]))
     memos = {airport: DetectionMemo() for airport in streams}
     specs: dict = {}  # (airport, kind) -> searched hyperparameters, or the search error
     try:
@@ -339,7 +326,7 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
                     hp = _cell_hyperparameters(cells[0], stream, hyperparameters, specs,
                                                cv_folds, base_seed)
                     spec = ModelSpec(kind=kind, hyperparameters=hp, seed=base_seed + rep)
-                    runs = run_stream(stream, b, [(cell.strategy, cell.detector or DETECTORS[0])
+                    runs = run_stream(stream, b, [(cell.strategy, cell.detector)
                                                   for cell in cells], spec,
                                       year_range=grid.years, alpha=alpha,
                                       min_week_flights=min_week_flights, replicate=rep,

@@ -30,6 +30,7 @@ from pathlib import Path
 from . import learn
 from .drift import (DEFAULT_ALPHA, DEFAULT_MIN_WEEK_FLIGHTS, DetectionMemo, DriftDecision,
                     STRATEGIES, STRATEGY_BASELINE, decide_drift, once)
+from .ingest import SB_KEY, write_atomic
 from .learn import ConfusionCounts, Metrics, ModelSpec, TrainedModel
 from .windowing import Batch, WindowUnderflowError, batch_sequence, step_years
 
@@ -87,7 +88,7 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
                min_week_flights: int = DEFAULT_MIN_WEEK_FLIGHTS,
                replicate: int = 0,
                store: "ModelStore | None" = None,
-               store_airport: str | None = None,
+               store_airport: str = SB_KEY,
                memo: DetectionMemo | None = None) -> list[StreamRun]:
     """Run each (strategy, detector) cell over the steps its strategy
     records (recorded_step_years); one StreamRun per cell, in order. Each
@@ -149,12 +150,12 @@ def run_stream(stream: list[Batch], b: int, cells: list[tuple[str, str]], spec: 
 
 
 class ModelStore:
-    """Directory of serialized models keyed by
-    (airport|SB, kind, dd, dh, b, replicate). Each distinct model is written
+    """Directory of serialized models keyed by a result row's key without t,
+    (airport, kind, dd, dh, b, replicate). Each distinct model is written
     once, as objects/<sha256 of its bytes>.npz; each key directory keeps a
     manifest whose history lists the (t, object) of every training step and
     whose latest names the last object. Both are written through
-    learn.write_atomic, so an existing file is always whole."""
+    ingest.write_atomic, so an existing file is always whole."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -162,19 +163,19 @@ class ModelStore:
         self.objects.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def _key_name(airport: str | None, kind: str, dd: str, dh: str,
-                  b: int, replicate: int) -> str:
-        return f"{airport or 'SB'}__{kind}__{dd}__{dh}__b{b}__r{replicate}"
+    def _key_name(airport: str, kind: str, dd: str, dh: str, b: int, replicate: int) -> str:
+        return f"{airport}__{kind}__{dd}__{dh}__b{b}__r{replicate}"
 
     def put(self, model: TrainedModel) -> str:
         """Write the model as an object unless that object exists; its name."""
         data = learn.model_bytes(model)
         path = self.objects / f"{hashlib.sha256(data).hexdigest()}.npz"
         if not path.exists():
-            learn.write_atomic(path, data)
+            with write_atomic(path) as fh:
+                fh.write(data)
         return path.name
 
-    def record(self, name: str, airport: str | None, kind: str, dd: str, dh: str,
+    def record(self, name: str, airport: str, kind: str, dd: str, dh: str,
                b: int, replicate: int, t: int) -> None:
         """Enter object name as the key's model trained at step t."""
         key_dir = self.root / self._key_name(airport, kind, dd, dh, b, replicate)
@@ -183,16 +184,17 @@ class ModelStore:
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         else:
-            manifest = {"key": {"airport": airport or "SB", "kind": kind, "dd": dd,
+            manifest = {"key": {"airport": airport, "kind": kind, "dd": dd,
                                 "dh": dh, "b": b, "replicate": replicate},
                         "history": []}
         entry = {"t": t, "model": name}
         if entry not in manifest["history"]:
             manifest["history"].append(entry)
         manifest["latest"] = name
-        learn.write_atomic(manifest_path, json.dumps(manifest, indent=2).encode())
+        with write_atomic(manifest_path, text=True) as fh:
+            fh.write(json.dumps(manifest, indent=2))
 
-    def load_latest(self, airport: str | None, kind: str, dd: str, dh: str,
+    def load_latest(self, airport: str, kind: str, dd: str, dh: str,
                     b: int, replicate: int) -> TrainedModel:
         key_dir = self.root / self._key_name(airport, kind, dd, dh, b, replicate)
         manifest_path = key_dir / "manifest.json"

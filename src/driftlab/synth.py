@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import FlightFeatureRow
+from .ingest import FlightFeatureRow, write_atomic
 from .special import SIGMOID_CLIP, sigmoid
 
 log = logging.getLogger(__name__)
@@ -268,4 +268,5 @@ def load_spec(path: str | Path) -> SyntheticSpec:
 
 
 def save_spec(spec: SyntheticSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2), encoding="utf-8")
+    with write_atomic(path, text=True) as fh:
+        json.dump(spec_to_dict(spec), fh, indent=2)

@@ -149,6 +149,23 @@ class TestPreprocessCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def test_output_is_written_to_exactly_the_path_given(tmp_path, synth_spec_file, capsys):
+    """-o names the file; no .npz suffix is appended to it."""
+    csv_path = tmp_path / "raw.csv"
+    csv_path.write_text(
+        "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+        "F1,SBGR,SBBR,2003-03-10T08:00,2003-03-10T08:40,domestic\n")
+    for name, argv in (("pre.bin", ["preprocess", str(csv_path)]),
+                       ("syn.bin", ["synth", "--spec", str(synth_spec_file)])):
+        out = tmp_path / name
+        assert main([*argv, "-o", str(out)]) == 0
+        assert f"-> {out}" in capsys.readouterr().out
+        assert ingest.load_rows(out)[0]
+        assert not (tmp_path / f"{name}.npz").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "pre.bin", "raw.csv", "spec.json", "syn.bin", "syn.bin.events.json"]
+
+
 class TestRunAndAnalyze:
     def test_run_then_analyses(self, tmp_path, synth_spec_file, capsys):
         results_path = run_pipeline(tmp_path, synth_spec_file)

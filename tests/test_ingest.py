@@ -340,3 +340,17 @@ class TestRowIO:
         save_rows([], ("a",), path)
         loaded, names = load_rows(path)
         assert loaded == [] and names == ("a",)
+
+    def test_write_atomic_replaces_whole_or_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with ingest.write_atomic(path, text=True) as fh:
+            fh.write("old\n")
+        with pytest.raises(KeyboardInterrupt):
+            with ingest.write_atomic(path) as fh:
+                fh.write(b"new, but cut")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old\n"
+        with ingest.write_atomic(path) as fh:
+            fh.write(b"new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

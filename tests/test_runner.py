@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import stream_of
-from driftlab import learn, runner, synth
+from driftlab import ingest, learn, runner, synth
 from driftlab.runner import (ExperimentGrid, correlate_drifts_performance,
                              count_drifts, drift_analysis, export_results, grid_cells,
                              load_results, row_key, topk_frequency)
@@ -368,27 +368,43 @@ class TestDriftAnalysis:
         grid = tiny_grid(years=(2001, 2004), strategies=("passive",), replicates=1)
         drift_analysis(rows, grid, tmp_path / "full.csv", hyperparameters=FAST_HP,
                        model_store_dir=tmp_path / "full_models")
-        write_bytes = Path.write_bytes
         manifest_writes = []
 
-        def killed_in_third_manifest_write(self, data):
-            if self.name.startswith("manifest.json"):
-                manifest_writes.append(self)
+        class KilledMidWrite:
+            """A file whose first write lands half its data, then the process dies."""
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise KeyboardInterrupt("killed mid-write")
+
+        def killed_in_third_manifest_write(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name.startswith("manifest.json"):
+                manifest_writes.append(file)
                 if len(manifest_writes) == 3:
-                    write_bytes(self, data[:len(data) // 2])
-                    raise KeyboardInterrupt("killed mid-write")
-            return write_bytes(self, data)
+                    return KilledMidWrite(fh)
+            return fh
 
         out, store = tmp_path / "res.csv", tmp_path / "models"
-        monkeypatch.setattr(Path, "write_bytes", killed_in_third_manifest_write)
+        # every file is written through ingest.write_atomic, which opens it here
+        monkeypatch.setattr(ingest, "open", killed_in_third_manifest_write, raising=False)
         with pytest.raises(KeyboardInterrupt):
             drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
         monkeypatch.undo()
-        manifest = json.loads((store / "SB__NB__mean__passive__b1__r0" / "manifest.json")
+        assert len(manifest_writes) == 3
+        manifest = json.loads((store / "SB__NB__na__passive__b1__r0" / "manifest.json")
                               .read_text())
         assert [entry["t"] for entry in manifest["history"]] == [2001, 2002]
         assert (manifest["key"]["b"], manifest["latest"]) == (1, manifest["history"][-1]["model"])
-        assert ModelStore(store).load_latest(None, "NB", "mean", "passive", 1, 0).spec.kind == "NB"
+        assert ModelStore(store).load_latest("SB", "NB", "na", "passive", 1, 0).spec.kind == "NB"
 
         drift_analysis(rows, grid, out, hyperparameters=FAST_HP, model_store_dir=store)
         assert out.read_bytes() == (tmp_path / "full.csv").read_bytes()

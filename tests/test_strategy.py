@@ -228,11 +228,11 @@ class TestModelStore:
     def test_save_and_load_latest(self, tmp_path):
         stream = stationary_stream()
         store = ModelStore(tmp_path / "models")
-        run = run_stream(stream, 1, [("passive", "mean")], NB, store=store,
-                         store_airport=None, replicate=0)[0]
+        run = run_stream(stream, 1, [("passive", "na")], NB, store=store,
+                         store_airport="SB", replicate=0)[0]
         assert run.trainings_done == 3
-        loaded = store.load_latest(None, "NB", "mean", "passive", 1, 0)
-        manifest = json.loads((tmp_path / "models" / "SB__NB__mean__passive__b1__r0"
+        loaded = store.load_latest("SB", "NB", "na", "passive", 1, 0)
+        manifest = json.loads((tmp_path / "models" / "SB__NB__na__passive__b1__r0"
                                / "manifest.json").read_text())
         assert (manifest["history"][-1]["t"], manifest["key"]["b"]) == (2005, 1)  # last trained
         from driftlab.learn import predict
@@ -255,7 +255,7 @@ class TestModelStore:
     def test_missing_key_errors(self, tmp_path):
         store = ModelStore(tmp_path / "models")
         with pytest.raises(FileNotFoundError):
-            store.load_latest(None, "NB", "mean", "active", 1, 0)
+            store.load_latest("SB", "NB", "mean", "active", 1, 0)
 
 
 class TestOnSyntheticDrift:
