@@ -17,16 +17,16 @@ F005,SBGR,KJFK,2003-03-12T22:00,2003-03-12T22:30,international,19.5,5.0
 F006,SBCF,SBRJ,2003-12-29T06:00,2003-12-29T06:20,domestic,24.0,1.0
 BADLINE,SBGR,SBBR,not-a-date,2003-03-10T08:00,domestic,20.0,2.0
 """
-raw = Path(tempfile.mkdtemp(prefix="driftlab_demo_")) / "flights.csv"
-raw.write_text(csv_text)
-
 # load_flights checks the header and returns its schema with a lazy record
 # stream; preprocess reads the file in one pass, filtering and labeling each
 # line as it goes: domestic + top airports, delay >= 15 min -> 1,
 # missing/26h departures excluded, destination mapped to its state, ISO
 # (year, week) attached. Only the kept rows are held.
-loaded = load_flights(raw)
-result = preprocess(loaded)
+with tempfile.TemporaryDirectory(prefix="driftlab_demo_") as tmp:
+    raw = Path(tmp) / "flights.csv"
+    raw.write_text(csv_text)
+    loaded = load_flights(raw)
+    result = preprocess(loaded)
 print(f"{result.record_count} records, {loaded.malformed_count} malformed:")
 for lineno, reason in loaded.malformed:
     print(f"  line {lineno}: {reason}")

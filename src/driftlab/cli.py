@@ -18,9 +18,10 @@ from pathlib import Path
 from . import ingest, runner, synth
 from .runner import ExperimentGrid
 
-# drift_analysis keywords a run config may set, each with the type it is read as
-_SWEEP_KEYS = {"base_seed": int, "alpha": float, "min_week_flights": int, "cv_folds": int}
-_CONFIG_KEYS = {"rows", "out", "grid", "hyperparameters", "model_store", *_SWEEP_KEYS}
+# drift_analysis keywords a run config may set; drift_analysis checks their values
+_SWEEP_KEYS = ("base_seed", "alpha", "min_week_flights", "cv_folds")
+_REQUIRED_KEYS = ("rows", "out")
+_CONFIG_KEYS = {*_REQUIRED_KEYS, "grid", "hyperparameters", "model_store", *_SWEEP_KEYS}
 _GRID_KEYS = {f.name for f in dataclasses.fields(ExperimentGrid)}
 
 
@@ -57,6 +58,9 @@ def _cmd_run(args) -> int:
     drift_analysis default; only airports defaults to ["SB"] here."""
     cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     _refuse_unknown(cfg, _CONFIG_KEYS, "config")
+    missing = [key for key in _REQUIRED_KEYS if key not in cfg]
+    if missing:
+        raise ValueError(f"config lacks required keys: {', '.join(missing)}")
     grid_cfg = {"airports": ["SB"], **cfg.get("grid", {})}
     _refuse_unknown(grid_cfg, _GRID_KEYS, "grid")
     for key, value in grid_cfg.items():
@@ -69,7 +73,7 @@ def _cmd_run(args) -> int:
         rows, grid, cfg["out"],
         hyperparameters=cfg.get("hyperparameters"),
         model_store_dir=cfg.get("model_store"),
-        **{key: cast(cfg[key]) for key, cast in _SWEEP_KEYS.items() if key in cfg},
+        **{key: cfg[key] for key in _SWEEP_KEYS if key in cfg},
     )
     errors = [r for r in results if r["error"]]
     print(f"{len(results)} result rows in {cfg['out']} ({len(errors)} error markers)")

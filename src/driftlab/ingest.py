@@ -15,6 +15,8 @@ import csv
 import logging
 import math
 import os
+import zipfile
+import zlib
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -94,17 +96,17 @@ class PreprocessResult:
 
 
 def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
-    """Airport code -> state mapping; the bundled table covers the ten
-    highest-traffic airports."""
-    if path is None:
-        source = resources.files("driftlab").joinpath("data/airport_states.csv")
-        text = source.read_text(encoding="utf-8")
-        lines = text.splitlines()
-    else:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
-    reader = csv.DictReader(lines)
-    return {row["code"]: row["state"] for row in reader}
+    """Airport code -> state mapping from a CSV with code and state columns
+    (a UTF-8 byte order mark is skipped); the bundled table, read when path
+    is None, covers the ten highest-traffic airports."""
+    source = resources.files("driftlab").joinpath("data/airport_states.csv") \
+        if path is None else Path(path)
+    with source.open(encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in ("code", "state"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"airport state table {source} has no {column!r} column")
+        return {row["code"]: row["state"] for row in reader}
 
 
 def load_flights(path: str | Path) -> LoadResult:
@@ -374,11 +376,24 @@ def save_rows(rows, feature_names, path: str | Path) -> None:
 
 
 def load_rows(path: str | Path) -> tuple[list[FlightFeatureRow], tuple[str, ...]]:
-    with np.load(Path(path), allow_pickle=False) as data:
-        # a member lookup decompresses the whole member, so read each once
-        feature_names = tuple(data["feature_names"].tolist())
-        columns = [data[name].tolist() for name in ("origin", "dest_state", "week", "year")]
-        features, delayed = np.asarray(data["features"], dtype=float), data["delayed"].tolist()
+    """The rows and feature names save_rows wrote to path. A file that is no
+    such archive (not an .npz, truncated, a member missing or an object
+    array, columns of unequal length) raises ValueError naming the file."""
+    path = Path(path)
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            # a member lookup decompresses the whole member, so read each once
+            feature_names = tuple(data["feature_names"].tolist())
+            columns = [data[name].tolist() for name in ("origin", "dest_state", "week", "year")]
+            features = np.asarray(data["features"], dtype=float)
+            delayed = data["delayed"].tolist()
+        if len({len(features), len(delayed), *map(len, columns)}) != 1:
+            raise ValueError("its columns differ in length")
+    except (ValueError, EOFError, KeyError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{path} is not a driftlab rows file: {exc}") from None
     # zipped in FlightFeatureRow field order
     rows = [FlightFeatureRow(*fields) for fields in zip(*columns, features, delayed)]
     return rows, feature_names

@@ -256,15 +256,26 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
     normality verdicts and tests behind it, are computed once for all the
     classifiers and replicates of the scale.
 
-    hyperparameters maps kind (or an alias such as NN) -> hyperparameter
-    dict; a kind that is unknown or given twice, a dict that ModelSpec
-    refuses, or an RF predictors_per_split above the rows' feature count
-    raises ValueError before anything is written. The manifest
-    records the dicts under their canonical kinds. Kinds left out are tuned
-    once per scale by k-fold grid search on its first non-empty batch (a
-    failed search fails each unit of the kind), frozen for every later
-    retrain.
+    base_seed must be an int, alpha a number in (0, 1), min_week_flights an
+    int >= 1 and cv_folds an int >= 2; another value raises ValueError before
+    anything is written, as does, in hyperparameters (kind, or an alias such
+    as NN, -> hyperparameter dict), a kind that is unknown or given twice, a
+    dict that ModelSpec refuses, or an RF predictors_per_split above the rows'
+    feature count. The manifest records the dicts under their canonical
+    kinds, and pins the rows by their count, feature count and
+    RowTable.digest, so a resume with other rows is refused. Kinds left out
+    are tuned once per scale by k-fold grid search on its first non-empty
+    batch (a failed search fails each unit of the kind), frozen for every
+    later retrain.
     """
+    if isinstance(base_seed, bool) or not isinstance(base_seed, int):
+        raise ValueError(f"base_seed must be an int, got {base_seed!r}")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must be a number in (0, 1), got {alpha!r}")
+    if not learn._is_count(min_week_flights):
+        raise ValueError(f"min_week_flights must be an int >= 1, got {min_week_flights!r}")
+    if not learn._is_count(cv_folds) or cv_folds < 2:
+        raise ValueError(f"cv_folds must be an int >= 2, got {cv_folds!r}")
     out_path = Path(out_path)
     given, hyperparameters = hyperparameters or {}, {}
     for kind, hp in given.items():
@@ -286,6 +297,8 @@ def drift_analysis(rows: list[FlightFeatureRow], grid: ExperimentGrid,
         "grid": dataclasses.asdict(grid),
         "base_seed": base_seed, "alpha": alpha, "min_week_flights": min_week_flights,
         "cv_folds": cv_folds, "hyperparameters": hyperparameters,
+        "rows": {"count": len(table), "features": table.features.shape[1] if len(table) else 0,
+                 "sha256": table.digest()},
         "columns": list(RESULT_COLUMNS),
     }
     manifest_text = json.dumps(manifest, indent=2)

@@ -3,6 +3,8 @@ Which evaluable steps (step_years) a cell records is strategy.recorded_step_year
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,6 +55,18 @@ class RowTable:
 
     def __len__(self) -> int:
         return self.year.size
+
+    def digest(self) -> str:
+        """sha256 over the arrays, read in place, in a fixed order: year, week,
+        delayed, features, then per categorical column its codes and its
+        levels (as a JSON list of their str)."""
+        h = hashlib.sha256()
+        for array in (self.year, self.week, self.delayed, self.features):
+            h.update(np.ascontiguousarray(array))
+        for codes, levels in zip(self.codes, self.levels):
+            h.update(np.ascontiguousarray(codes))
+            h.update(json.dumps(list(map(str, levels))).encode())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

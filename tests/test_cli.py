@@ -1,5 +1,8 @@
+import dataclasses
+import io
 import json
 
+import numpy as np
 import pytest
 
 from driftlab import ingest, learn, runner, synth
@@ -143,6 +146,21 @@ class TestPreprocessCommand:
         assert f"{csv_path}, line 3: field larger than field limit" in err
         assert not out.exists()
 
+    def test_states_table_without_a_column_exits_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(
+            "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
+            "F1,SBGR,SBFZ,2003-03-10T08:00,2003-03-10T08:40,domestic\n")
+        states = tmp_path / "states.csv"
+        out = tmp_path / "rows.npz"
+        for header, column in (("airport,state", "code"), ("code,uf", "state"), ("", "code")):
+            states.write_text(f"{header}\nSBFZ,CE\n" if header else "", encoding="utf-8")
+            assert main(["preprocess", str(csv_path), "--states", str(states),
+                         "-o", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: airport state table {states} has no {column!r} column\n")
+            assert not out.exists()
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert main(["preprocess", str(tmp_path / "nope.csv"), "-o",
                      str(tmp_path / "o.npz")]) == 1
@@ -257,9 +275,64 @@ class TestRunAndAnalyze:
 
     def test_run_missing_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"rows": "x.npz"}))
-        assert main(["run", "--config", str(cfg)]) == 1
-        assert "error:" in capsys.readouterr().err
+        for config, named in [({"rows": "x.npz"}, "out"), ({"out": "r.csv"}, "rows"),
+                              ({}, "rows, out")]:
+            cfg.write_text(json.dumps(config))
+            assert main(["run", "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err == f"error: config lacks required keys: {named}\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_seed", 1.9), ("alpha", 2), ("min_week_flights", 0), ("cv_folds", 1),
+    ])
+    def test_run_refuses_bad_sweep_values(self, tmp_path, synth_spec_file, capsys, key, value):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        out = tmp_path / "results.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "rows": str(rows_path), "out": str(out), key: value,
+            "grid": {"classifiers": ["NB"], "years": [2002, 2004], "bss": [1]}}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
+        assert not (tmp_path / "results.csv.manifest.json").exists()
+
+    def test_run_refuses_resume_with_other_rows(self, tmp_path, synth_spec_file, capsys):
+        results_path = run_pipeline(tmp_path, synth_spec_file)
+        content = results_path.read_bytes()
+        spec = synth.load_spec(synth_spec_file)
+        synth.save_spec(dataclasses.replace(spec, seed=spec.seed + 1), synth_spec_file)
+        assert main(["synth", "--spec", str(synth_spec_file),
+                     "-o", str(tmp_path / "rows.npz")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 1
+        assert capsys.readouterr().err.endswith("differs from "
+                                                f"{results_path}.manifest.json in rows\n")
+        assert results_path.read_bytes() == content
+
+    def test_run_refuses_a_bad_rows_file(self, tmp_path, synth_spec_file, capsys):
+        rows_path = tmp_path / "rows.npz"
+        assert main(["synth", "--spec", str(synth_spec_file), "-o", str(rows_path)]) == 0
+        whole = rows_path.read_bytes()
+        with np.load(rows_path) as data:
+            members = {name: data[name] for name in data.files}
+
+        def saved(save, *args, **kwargs) -> bytes:
+            buffer = io.BytesIO()
+            save(buffer, *args, **kwargs)
+            return buffer.getvalue()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rows": str(rows_path), "out": str(tmp_path / "r.csv")}))
+        for damaged in (whole[:len(whole) // 2], b"", saved(np.save, members["year"]),
+                        saved(np.savez, **{k: v for k, v in members.items() if k != "week"}),
+                        saved(np.savez, **{**members, "delayed": members["delayed"][1:]})):
+            rows_path.write_bytes(damaged)
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {rows_path} is not a driftlab rows file: ")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_run_refuses_resume_under_another_config(self, tmp_path, synth_spec_file, capsys):
         results_path = run_pipeline(tmp_path, synth_spec_file)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -345,6 +346,56 @@ class TestDriftAnalysis:
         assert manifest["columns"][0] == "airport"
         assert manifest["hyperparameters"] == FAST_HP
         assert manifest["cv_folds"] == 10
+
+    def test_manifest_pins_the_rows(self, tmp_path):
+        rows = synth_rows(years=4)
+        drift_analysis(rows, tiny_grid(years=(2001, 2003)), tmp_path / "res.csv",
+                       hyperparameters=FAST_HP)
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        assert manifest["rows"] == {"count": len(rows), "features": 3,
+                                    "sha256": RowTable.from_rows(rows).digest()}
+
+    def test_table_digest_covers_every_column(self):
+        rows = synth_rows(years=2)
+        digest = RowTable.from_rows(rows).digest()
+        assert RowTable.from_rows(list(rows)).digest() == digest
+        for field, value in [("year", 2009), ("week_of_year", 27), ("delayed", 1),
+                             ("origin_airport", "SBGR"), ("destination_state", "XX"),
+                             ("numeric_features", np.array([0.5, 0.5, 0.5]))]:
+            changed = list(rows)
+            changed[7] = dataclasses.replace(rows[7], **{field: value})
+            assert RowTable.from_rows(changed).digest() != digest, field
+
+    def test_resume_with_other_rows_refused(self, tmp_path):
+        rows = synth_rows(years=4)
+        out = tmp_path / "res.csv"
+        grid = tiny_grid(years=(2001, 2003))
+        drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        content = out.read_bytes()
+        manifest_path = tmp_path / "res.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        flipped = [dataclasses.replace(rows[0], delayed=1 - rows[0].delayed), *rows[1:]]
+        with pytest.raises(ValueError, match="differs .* in rows$"):
+            drift_analysis(flipped, grid, out, hyperparameters=FAST_HP)
+        # a table written before the manifest pinned its rows is refused too
+        del manifest["rows"]
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        with pytest.raises(ValueError, match="differs .* in rows$"):
+            drift_analysis(rows, grid, out, hyperparameters=FAST_HP)
+        assert out.read_bytes() == content
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_seed", 1.9), ("base_seed", True), ("base_seed", "7"),
+        ("alpha", 2), ("alpha", 0.0), ("alpha", 1.0), ("alpha", float("nan")), ("alpha", True),
+        ("min_week_flights", 0), ("min_week_flights", 2.0),
+        ("cv_folds", 1), ("cv_folds", 3.0), ("cv_folds", False),
+    ])
+    def test_bad_sweep_values_refused_before_writing(self, tmp_path, key, value):
+        out = tmp_path / "res.csv"
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            drift_analysis(synth_rows(years=4), tiny_grid(years=(2001, 2003)), out,
+                           hyperparameters=FAST_HP, **{key: value})
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_drops_torn_last_line(self, tmp_path, caplog):
         rows = synth_rows(years=5)
