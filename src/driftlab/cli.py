@@ -33,7 +33,7 @@ def _parse_k_range(raw: str) -> list[int]:
 
 
 def _cmd_preprocess(args) -> int:
-    airport = None if args.airport.upper() == "SB" else args.airport.upper()
+    airport = None if args.airport.upper() == ingest.SB_KEY else args.airport.upper()
     states = ingest.load_airport_states(args.states) if args.states else None
     loaded = ingest.load_flights(args.raw_csv)
     result = ingest.preprocess(loaded, airport, airport_states=states)
@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
     missing = [key for key in _REQUIRED_KEYS if key not in cfg]
     if missing:
         raise ValueError(f"config lacks required keys: {', '.join(missing)}")
-    grid_cfg = {"airports": ["SB"], **cfg.get("grid", {})}
+    grid_cfg = {"airports": [ingest.SB_KEY], **cfg.get("grid", {})}
     _refuse_unknown(grid_cfg, _GRID_KEYS, "grid")
     for key, value in grid_cfg.items():
         if key != "replicates" and not isinstance(value, list):

@@ -99,8 +99,8 @@ def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
     """Airport code -> state mapping from a CSV with code and state columns
     (a UTF-8 byte order mark is skipped); the bundled table, read when path
     is None, covers the ten highest-traffic airports."""
-    source = resources.files("driftlab").joinpath("data/airport_states.csv") \
-        if path is None else Path(path)
+    source = (resources.files("driftlab").joinpath("data/airport_states.csv")
+              if path is None else Path(path))
     with source.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for column in ("code", "state"):
