@@ -98,15 +98,22 @@ class PreprocessResult:
 def load_airport_states(path: str | Path | None = None) -> dict[str, str]:
     """Airport code -> state mapping from a CSV with code and state columns
     (a UTF-8 byte order mark is skipped); the bundled table, read when path
-    is None, covers the ten highest-traffic airports."""
+    is None, covers the ten highest-traffic airports. A missing column, or a
+    row with an empty code or state, raises ValueError naming the file."""
     source = (resources.files("driftlab").joinpath("data/airport_states.csv")
               if path is None else Path(path))
+    states = {}
     with source.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for column in ("code", "state"):
             if column not in (reader.fieldnames or ()):
                 raise ValueError(f"airport state table {source} has no {column!r} column")
-        return {row["code"]: row["state"] for row in reader}
+        for row in reader:
+            if not row["code"] or not row["state"]:
+                raise ValueError(f"airport state table {source}, line {reader.line_num}: "
+                                 f"empty code or state")
+            states[row["code"]] = row["state"]
+    return states
 
 
 def load_flights(path: str | Path) -> LoadResult:

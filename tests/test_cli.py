@@ -146,7 +146,7 @@ class TestPreprocessCommand:
         assert f"{csv_path}, line 3: field larger than field limit" in err
         assert not out.exists()
 
-    def test_states_table_without_a_column_exits_1(self, tmp_path, capsys):
+    def test_bad_states_table_exits_1(self, tmp_path, capsys):
         csv_path = tmp_path / "raw.csv"
         csv_path.write_text(
             "flight_id,origin,destination,scheduled_departure,actual_departure,kind\n"
@@ -159,6 +159,13 @@ class TestPreprocessCommand:
                          "-o", str(out)]) == 1
             assert capsys.readouterr().err == (
                 f"error: airport state table {states} has no {column!r} column\n")
+            assert not out.exists()
+        for body in ("SBGR,SP\nSBFZ\n", "SBGR,SP\nSBFZ,\n", "SBGR,SP\n,CE\n"):
+            states.write_text("code,state\n" + body, encoding="utf-8")
+            assert main(["preprocess", str(csv_path), "--states", str(states),
+                         "-o", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: airport state table {states}, line 3: empty code or state\n")
             assert not out.exists()
 
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
